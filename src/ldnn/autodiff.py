@@ -219,49 +219,69 @@ def add(a, b) -> Tensor:
     return _make("add", ad + bd, (a, b), vjp)
 
 
+# Builtin scalar functions: name -> (value, derivative), both of the input.
+# The unary ops, the fused activation and ``nn.BUILTINS`` all read them here.
+
+def _sigmoid_slope(x):
+    y = sigmoid_values(x)
+    return y * (1.0 - y)
+
+
+UNARY = {
+    "zero": (np.zeros_like, lambda x: 0.0),
+    "identity": (np.copy, lambda x: 1.0),
+    "sigmoid": (sigmoid_values, _sigmoid_slope),
+    "tanh": (np.tanh, lambda x: 1.0 - np.square(np.tanh(x))),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(np.float64)),
+    "sine": (np.sin, np.cos),
+}
+
+
 def _unary(op: str, x, forward, deriv) -> Tensor:
     x = as_tensor(x)
     xd = x.data
-    yd = forward(xd)
 
     def vjp(g):
-        return (g * deriv(xd, yd),)
+        return (g * deriv(xd),)
 
-    return _make(op, yd, (x,), vjp)
+    return _make(op, forward(xd), (x,), vjp)
+
+
+def _builtin(name: str, x) -> Tensor:
+    return _unary(name, x, *UNARY[name])
 
 
 def tanh(x) -> Tensor:
-    return _unary("tanh", x, np.tanh, lambda xd, yd: 1.0 - yd * yd)
+    return _builtin("tanh", x)
 
 
 def sigmoid(x) -> Tensor:
-    return _unary("sigmoid", x, sigmoid_values, lambda xd, yd: yd * (1.0 - yd))
+    return _builtin("sigmoid", x)
 
 
 def relu(x) -> Tensor:
-    return _unary("relu", x, lambda v: np.maximum(v, 0.0),
-                  lambda xd, yd: (xd > 0).astype(np.float64))
+    return _builtin("relu", x)
 
 
 def sine(x) -> Tensor:
-    return _unary("sine", x, np.sin, lambda xd, yd: np.cos(xd))
+    return _builtin("sine", x)
 
 
 def identity(x) -> Tensor:
-    return _unary("identity", x, lambda v: v.copy(), lambda xd, yd: 1.0)
+    return _builtin("identity", x)
 
 
 def zero(x) -> Tensor:
-    return _unary("zero", x, np.zeros_like, lambda xd, yd: 0.0)
+    return _builtin("zero", x)
 
 
 def square(x) -> Tensor:
-    return _unary("square", x, np.square, lambda xd, yd: 2.0 * xd)
+    return _unary("square", x, np.square, lambda xd: 2.0 * xd)
 
 
 def scale(x, c: float) -> Tensor:
     c = float(c)
-    return _unary("scale", x, lambda v: c * v, lambda xd, yd: c)
+    return _unary("scale", x, lambda v: c * v, lambda xd: c)
 
 
 def interp(x, grid, values) -> Tensor:
@@ -270,7 +290,7 @@ def interp(x, grid, values) -> Tensor:
     values = np.asarray(values, dtype=np.float64)
     return _unary("interp", x,
                   lambda v: interp_values(v, grid, values),
-                  lambda xd, yd: interp_slopes(xd, grid, values))
+                  lambda xd: interp_slopes(xd, grid, values))
 
 
 def reshape(x, shape) -> Tensor:
@@ -284,43 +304,91 @@ def reshape(x, shape) -> Tensor:
     return _make("reshape", xd.reshape(shape), (x,), vjp)
 
 
-def take_cols(x, idx) -> Tensor:
-    """Gather a subset of columns of a matrix."""
-    x = as_tensor(x)
-    xd = x.data
-    idx = np.asarray(idx, dtype=np.intp)
-    if xd.ndim != 2:
-        raise ShapeError(f"take_cols: expected a matrix, got shape {xd.shape}")
-    if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= xd.shape[1])):
-        raise ShapeError(f"take_cols: index out of range for shape {xd.shape}")
+def activation_values(spec, x: np.ndarray, subnet=None):
+    """One activation spec applied elementwise to an array: the forward kernel
+    of ``activation``, and the plain-array path of ``nn.eval_activation``.
+
+    ``spec`` has a ``kind``: "builtin" applies ``UNARY[spec.name]``;
+    "tabulated" interpolates ``spec.values`` on ``spec.grid``; "subnet"
+    adds the residual w2 . tanh(w1 a + b1) + b2 to the builtin
+    ``spec.name``, with the tensors of ``subnet`` (w1, b1, w2 of length h,
+    scalar b2).  Returns the values and, for a subnet, its (x.size, h)
+    hidden layer, which the backward rule reads; else None.
+    """
+    if spec.kind == "builtin":
+        return UNARY[spec.name][0](x), None
+    if spec.kind == "tabulated":
+        return interp_values(x, spec.grid, spec.values), None
+    if spec.kind == "subnet":
+        if subnet is None:
+            raise ValueError("subnet activation needs its parameter block")
+        hid = np.multiply.outer(x.ravel(), subnet.w1.data)
+        hid += subnet.b1.data
+        np.tanh(hid, out=hid)
+        res = hid @ subnet.w2.data
+        res += subnet.b2.data
+        return UNARY[spec.name][0](x) + res.reshape(x.shape), hid
+    raise ValueError(f"unknown activation kind {spec.kind!r}")
+
+
+def activation(z, groups) -> Tensor:
+    """Fused activation layer: each column group of the matrix ``z`` through
+    its own scalar function, as one tape node.
+
+    ``groups`` is a sequence of ``(cols, spec, subnet)``, one per activation
+    type, whose ``cols`` (an index array or slice) partition the columns of
+    ``z``; ``spec`` and ``subnet`` are as in ``activation_values``.  The
+    backward rule is written out: with hid = tanh(w1 z + b1) and
+    s = 1 - hid**2 per subnet group,
+    dz = g (base'(z) + s (w1 w2)), dw2 = g'hid, db1 = w2 (g's),
+    dw1 = w2 ((g z)'s) and db2 = sum(g).
+    """
+    z = as_tensor(z)
+    zd = z.data
+    if zd.ndim != 2:
+        raise ShapeError(f"activation: expected a matrix, got shape {zd.shape}")
+    groups = list(groups)
+    cover = np.zeros(zd.shape[1], dtype=np.intp)
+    for cols, _, _ in groups:
+        np.add.at(cover, cols, 1)
+    if not (cover == 1).all():
+        raise ShapeError(f"activation: column groups do not partition {zd.shape[1]} columns")
+    out = np.empty_like(zd)
+    parents = [z]
+    saved = []  # per subnet group: hid, w2 and w1 * w2 as of this forward pass
+    for cols, spec, subnet in groups:
+        y, hid = activation_values(spec, zd[:, cols], subnet)
+        out[:, cols] = y
+        if hid is None:
+            saved.append(None)
+        else:
+            parents += [subnet.w1, subnet.b1, subnet.w2, subnet.b2]
+            saved.append((hid, subnet.w2.data, subnet.w1.data * subnet.w2.data))
 
     def vjp(g):
-        zt = np.zeros((xd.shape[1], xd.shape[0]))
-        np.add.at(zt, idx, g.T)
-        return (zt.T,)
+        gz = np.empty_like(zd)
+        grads = [gz]
+        for (cols, spec, _), sub in zip(groups, saved):
+            x, gc = zd[:, cols], g[:, cols]
+            if spec.kind == "tabulated":
+                gz[:, cols] = gc * interp_slopes(x, spec.grid, spec.values)
+                continue
+            slope = UNARY[spec.name][1](x)
+            if sub is None:
+                gz[:, cols] = gc * slope
+                continue
+            hid, w2, w1w2 = sub
+            gf = gc.ravel()
+            gw2 = gf @ hid
+            # s = 1 - hid**2 overwrites hid: backward replays each node once.
+            s = np.square(hid, out=hid)
+            np.subtract(1.0, s, out=s)
+            gs, gzs = np.stack([gf, gf * x.ravel()]) @ s
+            gz[:, cols] = gc * (slope + (s @ w1w2).reshape(x.shape))
+            grads += [w2 * gzs, w2 * gs, gw2, np.asarray(gf.sum())]
+        return tuple(grads)
 
-    return _make("take_cols", xd[:, idx], (x,), vjp)
-
-
-def put_cols(x, idx, width: int) -> Tensor:
-    """Scatter a matrix into selected columns of a wider zero matrix."""
-    x = as_tensor(x)
-    xd = x.data
-    idx = np.asarray(idx, dtype=np.intp)
-    width = int(width)
-    if xd.ndim != 2 or idx.ndim != 1 or idx.size != xd.shape[1]:
-        raise ShapeError(f"put_cols: got shape {xd.shape} with {idx.size} indices")
-    if idx.size != len(set(idx.tolist())):
-        raise ShapeError("put_cols: duplicate column indices")
-    if idx.size and (idx.min() < 0 or idx.max() >= width):
-        raise ShapeError(f"put_cols: index out of range for width {width}")
-    out = np.zeros((xd.shape[0], width))
-    out[:, idx] = xd
-
-    def vjp(g):
-        return (g[:, idx],)
-
-    return _make("put_cols", out, (x,), vjp)
+    return _make("activation", out, tuple(parents), vjp)
 
 
 def reduce_mean(x) -> Tensor:
@@ -391,8 +459,7 @@ _OPS = {
     "scale": scale,
     "interp": interp,
     "reshape": reshape,
-    "take_cols": take_cols,
-    "put_cols": put_cols,
+    "activation": activation,
     "reduce-mean": reduce_mean,
     "softmax-cross-entropy": softmax_cross_entropy,
     "mean-squared-error": mse,

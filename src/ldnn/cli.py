@@ -477,16 +477,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # tasks.DatasetFormatError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (tasks.DatasetFormatError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except TrainingDiverged as exc:
-        print(f"training aborted: {exc}", file=sys.stderr)
-        return 3
-    except tasks.TrajectoryDiverged as exc:
+    except (TrainingDiverged, tasks.TrajectoryDiverged) as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

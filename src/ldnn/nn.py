@@ -18,14 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 
-BUILTINS = {
-    "zero": lambda a: np.zeros_like(np.asarray(a, dtype=np.float64)),
-    "identity": lambda a: np.asarray(a, dtype=np.float64).copy(),
-    "sigmoid": ad.sigmoid_values,
-    "tanh": np.tanh,
-    "relu": lambda a: np.maximum(np.asarray(a, dtype=np.float64), 0.0),
-    "sine": np.sin,
-}
+BUILTINS = {name: value for name, (value, _) in ad.UNARY.items()}
 
 TASKS = ("classification", "regression")
 
@@ -205,39 +198,12 @@ def init_network(config: NetworkConfig, seed=None) -> ParamSet:
 # ---------------------------------------------------------------------------
 # Forward evaluation.
 
-def _apply_spec(z: Tensor, spec: ActivationSpec, params: ParamSet, type_idx: int) -> Tensor:
-    """Apply one activation spec elementwise to a matrix of preactivations."""
-    if spec.kind == "builtin":
-        return ad.record(spec.name, z)
-    if spec.kind == "tabulated":
-        return ad.interp(z, np.asarray(spec.grid), np.asarray(spec.values))
-    if spec.kind == "subnet":
-        sp = params.subnets[type_idx]
-        m, k = z.data.shape
-        h = sp.hidden_width
-        flat = ad.reshape(z, (m * k, 1))
-        hid = ad.tanh(ad.add(ad.matmul(flat, ad.reshape(sp.w1, (1, h))), sp.b1))
-        res = ad.add(ad.matmul(hid, ad.reshape(sp.w2, (h, 1))), sp.b2)
-        tot = ad.add(ad.record(spec.name, flat), res)
-        return ad.reshape(tot, (m, k))
-    raise ValueError(f"unknown activation kind {spec.kind!r}")
-
-
-def _apply_layer(z: Tensor, layer: LayerSpec, config: NetworkConfig, params: ParamSet) -> Tensor:
+def _layer_groups(layer: LayerSpec, config: NetworkConfig, params: ParamSet) -> list:
+    """(columns, spec, subnet parameters) of each activation type in a layer."""
     assignment = np.asarray(layer.assignment)
-    types = np.unique(assignment)
-    if types.size == 1:
-        return _apply_spec(z, config.activations[types[0]], params, int(types[0]))
-    parts = []
-    for t in types:
-        idx = np.flatnonzero(assignment == t)
-        cols = ad.take_cols(z, idx)
-        acts = _apply_spec(cols, config.activations[t], params, int(t))
-        parts.append(ad.put_cols(acts, idx, layer.width))
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = ad.add(acc, p)
-    return acc
+    types = np.unique(assignment).tolist()
+    return [(slice(None) if len(types) == 1 else np.flatnonzero(assignment == t),
+             config.activations[t], params.subnets.get(t)) for t in types]
 
 
 def forward(params: ParamSet, config: NetworkConfig, batch):
@@ -256,7 +222,7 @@ def forward(params: ParamSet, config: NetworkConfig, batch):
     pre = act = None
     for i, layer in enumerate(config.layers):
         z = ad.add(ad.matmul(a, params.weights[i]), params.biases[i])
-        a = _apply_layer(z, layer, config, params)
+        a = ad.activation(z, _layer_groups(layer, config, params))
         pre, act = z, a
     n = len(config.layers)
     out = ad.add(ad.matmul(a, params.weights[n]), params.biases[n])
@@ -269,19 +235,7 @@ def eval_activation(spec: ActivationSpec, a, subnet_params: SubnetParams = None)
     Scalar-in/scalar-out semantics broadcast elementwise over arrays.  A
     subnet spec requires its parameter block.
     """
-    arr = np.asarray(a, dtype=np.float64)
-    if spec.kind == "builtin":
-        return BUILTINS[spec.name](arr)
-    if spec.kind == "tabulated":
-        return np.interp(arr, np.asarray(spec.grid), np.asarray(spec.values))
-    if spec.kind == "subnet":
-        if subnet_params is None:
-            raise ValueError("subnet activation needs its parameter block")
-        flat = arr.reshape(-1)
-        hid = np.tanh(np.outer(flat, subnet_params.w1.data) + subnet_params.b1.data)
-        res = hid @ subnet_params.w2.data + float(subnet_params.b2.data)
-        return BUILTINS[spec.name](arr) + res.reshape(arr.shape)
-    raise ValueError(f"unknown activation kind {spec.kind!r}")
+    return ad.activation_values(spec, np.asarray(a, dtype=np.float64), subnet_params)[0]
 
 
 def extract_tabulated(spec: ActivationSpec, subnet_params: SubnetParams = None,

@@ -106,9 +106,9 @@ def _sum_sq(t):
     return ad.scale(ad.reduce_mean(ad.square(t)), float(t.data.size))
 
 
-def test_criterion_1_gradient_correctness():
-    failures = []
-    tol = 1e-5
+def criterion_1_checks():
+    """Gradcheck cases by name.  A name is an ``ad._OPS`` op kind, or an op
+    kind followed by ``-`` and the case it covers."""
 
     def unary(op, keep_away=0.0):
         def build(rng):
@@ -130,20 +130,14 @@ def test_criterion_1_gradient_correctness():
     grid = np.linspace(-2.5, 2.5, 11)
     tab_vals = np.random.default_rng(5).standard_normal(11)
 
-    def interp_case(rng):
-        x = rng.uniform(-2, 2, size=(3, 3))
+    def off_knots(x):
         # keep probes clear of the knots (spacing 0.5) so FD stays one-sided
         frac = (x + 2.5) % 0.5
         x[np.minimum(frac, 0.5 - frac) < 1e-3] += 0.01
-        return x, lambda t: _sum_sq(ad.interp(t, grid, tab_vals))
+        return x
 
-    checks["interp"] = interp_case
-
-    idx = np.array([0, 2, 5])
-    checks["take_cols"] = lambda rng: (rng.uniform(-2, 2, size=(4, 6)),
-                                       lambda t: _sum_sq(ad.take_cols(t, idx)))
-    checks["put_cols"] = lambda rng: (rng.uniform(-2, 2, size=(4, 3)),
-                                      lambda t: _sum_sq(ad.put_cols(t, idx, 6)))
+    checks["interp"] = lambda rng: (off_knots(rng.uniform(-2, 2, size=(3, 3))),
+                                    lambda t: _sum_sq(ad.interp(t, grid, tab_vals)))
 
     w_fixed = np.random.default_rng(6).uniform(-1, 1, size=(4, 3))
     checks["matmul-left"] = lambda rng: (rng.uniform(-2, 2, size=(3, 4)),
@@ -168,6 +162,50 @@ def test_criterion_1_gradient_correctness():
         rng.uniform(-2, 2, size=(4, 3)),
         lambda t: ad.mse(t, Tensor(target_fixed)))
 
+    # The fused activation layer: one case per kind of column group, each
+    # subnet tensor on its own, and a layer mixing all three kinds.
+    subnet = ActivationSpec.subnet("sine", 5)
+    tabulated = ActivationSpec.tabulated(grid, tab_vals)
+    sub_rng = np.random.default_rng(11)
+    sub_fixed = [sub_rng.uniform(-1, 1, size=(5,)) for _ in range(3)] + [np.asarray(0.3)]
+    z_fixed = np.random.default_rng(12).uniform(-2, 2, size=(3, 4))
+
+    def layer(z, spec, sub=sub_fixed):
+        params = nn.SubnetParams(*map(ad.as_tensor, sub))
+        return _sum_sq(ad.activation(z, [(slice(None), spec, params)]))
+
+    checks["activation-builtin"] = lambda rng: (
+        rng.uniform(-2, 2, size=(3, 4)), lambda t: layer(t, ActivationSpec.builtin("sigmoid")))
+    checks["activation-subnet"] = lambda rng: (
+        rng.uniform(-2, 2, size=(3, 4)), lambda t: layer(t, subnet))
+    for i, name in enumerate(("w1", "b1", "w2", "b2")):
+        def build(rng, i=i):
+            def loss(t):
+                parts = list(sub_fixed)
+                parts[i] = t
+                return layer(Tensor(z_fixed), subnet, parts)
+            return rng.uniform(-1, 1, size=sub_fixed[i].shape), loss
+        checks[f"activation-subnet-{name}"] = build
+    checks["activation-tabulated"] = lambda rng: (
+        off_knots(rng.uniform(-2, 2, size=(3, 3))), lambda t: layer(t, tabulated))
+
+    assignment = np.array([2, 2, 0, 1, 1, 0, 0, 2])
+    mixed = [(ActivationSpec.builtin("relu"), None), (subnet, nn.SubnetParams(*map(Tensor, sub_fixed))),
+             (tabulated, None)]
+
+    def mixed_case(rng):
+        x = off_knots(rng.uniform(-2, 2, size=(3, 8)))  # 0 is a knot: relu's kink is cleared too
+        groups = [(np.flatnonzero(assignment == t), spec, sub) for t, (spec, sub) in enumerate(mixed)]
+        return x, lambda t: _sum_sq(ad.activation(t, groups))
+
+    checks["activation-mixed"] = mixed_case
+    return checks
+
+
+def test_criterion_1_gradient_correctness():
+    failures = []
+    tol = 1e-5
+    checks = criterion_1_checks()
     for name, build in checks.items():
         err = gradcheck_cases(build)
         if err >= tol:
@@ -175,6 +213,14 @@ def test_criterion_1_gradient_correctness():
     report(1, "gradient-correctness", not failures,
            f"({len(checks)} ops x 100 cases, tol {tol:g})"
            + (f" failures: {failures}" if failures else ""))
+
+
+def test_criterion_1_covers_every_op():
+    """Every op kind, the fused activation included, has a gradcheck case."""
+    names = list(criterion_1_checks())
+    missing = [op for op in sorted(set(ad._OPS) | {"activation"})
+               if not any(name == op or name.startswith(op + "-") for name in names)]
+    assert not missing, f"op kinds without a criterion 1 gradcheck case: {missing}"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import ldnn.autodiff as ad
+from ldnn import nn
 from ldnn.autodiff import GradientMap, ShapeError, Tensor
+from ldnn.nn import ActivationSpec
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -217,30 +219,31 @@ class TestGradientOracle:
 
         assert rel_err(grads[pt], numeric_grad(f2, pred)) < 1e-5
 
-    def test_gather_scatter_gradcheck(self):
+    def test_activation_column_groups_gradcheck(self):
+        """The fused activation gathers each group's columns and scatters its
+        gradient back: check z and every subnet tensor of a split layer."""
         rng = np.random.default_rng(14)
-        x = rng.uniform(-2, 2, size=(4, 6))
-        idx = np.array([1, 3, 5])
-        xt = Tensor(x, requires_grad=True)
-        loss = ad.scale(ad.reduce_mean(ad.square(ad.take_cols(xt, idx))), 12.0)
+        z = rng.uniform(-2, 2, size=(4, 6))
+        arrays = [z] + [rng.uniform(-1, 1, size=s) for s in (3, 3, 3, ())]
+        sub_cols, sine_cols = np.array([1, 3, 4]), np.array([0, 2, 5])
+
+        def loss_from(parts, grad=False):
+            zt, *sub = [Tensor(p, requires_grad=grad) for p in parts]
+            groups = [(sub_cols, ActivationSpec.subnet("tanh", 3), nn.SubnetParams(*sub)),
+                      (sine_cols, ActivationSpec.builtin("sine"), None)]
+            y = ad.activation(zt, groups)
+            return ad.scale(ad.reduce_mean(ad.square(y)), float(y.size)), [zt] + sub
+
+        loss, tensors = loss_from(arrays, grad=True)
         grads = ad.backward(loss)
+        for pick, tensor in enumerate(tensors):
+            def f(arr, pick=pick):
+                parts = list(arrays)
+                parts[pick] = arr
+                with ad.no_grad():
+                    return float(loss_from(parts)[0].data)
 
-        def f(arr):
-            with ad.no_grad():
-                return float(ad.scale(ad.reduce_mean(ad.square(ad.take_cols(Tensor(arr), idx))), 12.0).data)
-
-        assert rel_err(grads[xt], numeric_grad(f, x)) < 1e-5
-
-        y = rng.uniform(-2, 2, size=(4, 3))
-        yt = Tensor(y, requires_grad=True)
-        loss = ad.scale(ad.reduce_mean(ad.square(ad.put_cols(yt, idx, 6))), 24.0)
-        grads = ad.backward(loss)
-
-        def f2(arr):
-            with ad.no_grad():
-                return float(ad.scale(ad.reduce_mean(ad.square(ad.put_cols(Tensor(arr), idx, 6))), 24.0).data)
-
-        assert rel_err(grads[yt], numeric_grad(f2, y)) < 1e-5
+            assert rel_err(grads[tensor], numeric_grad(f, arrays[pick])) < 1e-5
 
     def test_tanh_network_gradcheck(self):
         """Gradient of a tanh(Wa+b) network vs central finite differences."""
@@ -314,6 +317,51 @@ class TestBackwardProperties:
         with ad.no_grad():
             y = ad.square(x)
         assert y.node is None
+
+
+class TestActivation:
+    @staticmethod
+    def subnet_layer(m=30, k=4, h=6, seed=40):
+        rng = np.random.default_rng(seed)
+        z = Tensor(rng.uniform(-2, 2, size=(m, k)), requires_grad=True)
+        sub = nn.SubnetParams(*[Tensor(rng.uniform(-1, 1, size=s), requires_grad=True)
+                                for s in (h, h, h, ())])
+        return z, [(slice(None), ActivationSpec.subnet("sine", h), sub)]
+
+    def test_backward_leaves_forward_output_unchanged(self):
+        """The backward rule overwrites the saved hidden layer in place; the
+        layer's output and a fresh forward pass must not see it."""
+        z, groups = self.subnet_layer()
+        y = ad.activation(z, groups)
+        before = y.data.copy()
+        grads = ad.backward(ad.reduce_mean(ad.square(y)))
+        assert len(grads) == 5
+        np.testing.assert_array_equal(y.data, before)
+        np.testing.assert_array_equal(ad.activation(z, groups).data, before)
+
+    def test_second_backward_returns_empty_map(self):
+        z, groups = self.subnet_layer()
+        loss = ad.reduce_mean(ad.square(ad.activation(z, groups)))
+        assert len(ad.backward(loss)) == 5
+        assert len(ad.backward(loss)) == 0
+
+    def test_one_tape_node_per_layer(self):
+        z, groups = self.subnet_layer()
+        y = ad.activation(z, groups)
+        assert y.node.op == "activation"
+        assert y.node.parents == (z,) + tuple(groups[0][2].tensors())
+
+    def test_columns_must_partition(self):
+        z = Tensor(np.ones((2, 3)))
+        sine = ActivationSpec.builtin("sine")
+        for cols in ([np.array([0, 1])], [np.array([0, 1]), np.array([1, 2])]):
+            with pytest.raises(ShapeError, match="partition"):
+                ad.activation(z, [(c, sine, None) for c in cols])
+
+    def test_subnet_needs_parameters(self):
+        with pytest.raises(ValueError, match="parameter block"):
+            ad.activation(Tensor(np.ones((2, 2))),
+                          [(slice(None), ActivationSpec.subnet("tanh", 3), None)])
 
 
 class TestHessianVectorProduct:

@@ -4,7 +4,9 @@ import json
 import os
 
 import numpy as np
+import pytest
 
+import ldnn.metalearn as ml
 from ldnn import cli, nn, tasks
 
 
@@ -74,6 +76,15 @@ class TestTrain:
         blocker.write_text("a file, not a directory")
         assert cli.main(["train", config, "--out", str(blocker / "sub")]) == 4
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [ml.TrainingDiverged, tasks.TrajectoryDiverged])
+    def test_training_abort_exit_3(self, tmp_path, capsys, monkeypatch, exc):
+        def diverge(*args, **kwargs):
+            raise exc("loss is nan")
+
+        monkeypatch.setattr(ml, "train", diverge)
+        assert cli.main(["train", write_config(tmp_path)]) == 3
+        assert "training aborted: loss is nan" in capsys.readouterr().err
 
 
 class TestCampaign:

@@ -185,6 +185,28 @@ class TestSteps:
             ml.TrainSchedule(optimizer="adagrad")
 
 
+def tape_nodes(loss):
+    """Nodes on the tape behind ``loss``."""
+    seen, stack, count = set(), [loss], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            if t.node is not None:
+                count += 1
+                stack.extend(t.node.parents)
+    return count
+
+
+def test_mix_net_batch_loss_tape_size():
+    """matmul, bias add, one fused activation, matmul, bias add, loss."""
+    mix = (ActivationSpec.subnet("sine", 50), ActivationSpec.subnet("sine", 50))
+    config = nn.mlp_config(4, 20, 10, mix)
+    params = nn.init_network(config, seed=3)
+    data = toy_classification(m=100, d=4, k=10)
+    assert tape_nodes(ml.batch_loss(params, config, data.inputs, data.targets)) == 6
+
+
 class TestTrain:
     def small_sets(self, task="classification"):
         if task == "classification":

@@ -179,6 +179,77 @@ class TestForward:
         assert np.abs(grads[params.subnets[0].w2]).max() > 0
 
 
+def reference_layer(z, layer, config, params):
+    """A hidden layer's activations from elementary tape ops: 0/1 selection
+    matrices gather each type's columns and scatter them back, and a subnet
+    is the reshape/matmul/add/tanh chain of its residual on the base."""
+    m, k = z.data.shape
+    assignment = np.asarray(layer.assignment)
+    acc = None
+    for t in np.unique(assignment).tolist():
+        cols = np.flatnonzero(assignment == t)
+        sel = np.zeros((k, cols.size))
+        sel[cols, np.arange(cols.size)] = 1.0
+        zc = ad.matmul(z, Tensor(sel))
+        spec = config.activations[t]
+        if spec.kind == "builtin":
+            y = ad.record(spec.name, zc)
+        elif spec.kind == "tabulated":
+            y = ad.interp(zc, spec.grid, spec.values)
+        else:
+            sp = params.subnets[t]
+            h = sp.hidden_width
+            flat = ad.reshape(zc, (m * cols.size, 1))
+            hid = ad.tanh(ad.add(ad.matmul(flat, ad.reshape(sp.w1, (1, h))), sp.b1))
+            res = ad.add(ad.matmul(hid, ad.reshape(sp.w2, (h, 1))), sp.b2)
+            y = ad.reshape(ad.add(ad.record(spec.name, flat), res), zc.shape)
+        part = ad.matmul(y, Tensor(sel.T))
+        acc = part if acc is None else ad.add(acc, part)
+    return acc
+
+
+class TestFusedLayer:
+    @staticmethod
+    def mixed_net():
+        """Two hidden layers sharing two subnet types, with a builtin and a
+        tabulated type, in assignments that do not interleave regularly."""
+        grid = np.linspace(-3, 3, 13)
+        acts = (ActivationSpec.subnet("sine", 5), ActivationSpec.subnet("sigmoid", 4),
+                ActivationSpec.builtin("tanh"),
+                ActivationSpec.tabulated(grid, np.sin(grid) + 0.1 * grid ** 2))
+        layers = (LayerSpec(7, (2, 0, 0, 1, 3, 1, 2)), LayerSpec(5, (0, 3, 3, 1, 2)))
+        config = NetworkConfig(input_dim=3, layers=layers, output_dim=2,
+                               activations=acts, task="regression")
+        params = nn.init_network(config, seed=31)
+        rng = np.random.default_rng(32)
+        for sp in params.subnets.values():
+            sp.w2.assign(rng.uniform(-0.5, 0.5, size=sp.hidden_width))
+            sp.b2.assign(rng.uniform(-0.5, 0.5))
+        x = rng.uniform(-1.5, 1.5, size=(9, 3))
+        y = rng.uniform(-1, 1, size=(9, 2))
+        return params, config, x, y
+
+    def test_matches_elementary_reference(self):
+        params, config, x, y = self.mixed_net()
+        out, _, _ = nn.forward(params, config, x)
+        loss = ad.mse(out, Tensor(y))
+
+        a = Tensor(x)
+        for i, layer in enumerate(config.layers):
+            z = ad.add(ad.matmul(a, params.weights[i]), params.biases[i])
+            a = reference_layer(z, layer, config, params)
+        ref_out = ad.add(ad.matmul(a, params.weights[2]), params.biases[2])
+        ref_loss = ad.mse(ref_out, Tensor(y))
+
+        np.testing.assert_allclose(out.data, ref_out.data, rtol=0, atol=1e-12)
+        grads, ref_grads = ad.backward(loss), ad.backward(ref_loss)
+        tensors = params.all_tensors()
+        assert len(tensors) == 6 + 2 * 4
+        for t in tensors:
+            assert t in grads and t in ref_grads
+            np.testing.assert_allclose(grads[t], ref_grads[t], rtol=0, atol=1e-12)
+
+
 class TestEvalActivation:
     def test_builtin_sine_at_zero(self):
         assert float(nn.eval_activation(ActivationSpec.builtin("sine"), 0.0)) == 0.0
