@@ -3,9 +3,11 @@
 The graph is define-by-run: every operation touching a differentiable
 tensor appends one node, and ``backward`` replays the nodes in reverse
 creation order, clearing them afterwards so each forward pass builds a
-fresh tape.  Hessian-vector products are central finite differences of
-gradients, which is accurate enough for the small networks this package
-trains.
+fresh tape.  Hessian-vector products are exact: ``hvp_operator`` runs the
+forward and reverse pass once and then applies Pearlmutter's R-operator
+(forward-over-reverse; Pearlmutter 1994, *Neural Computation* 6(1)), for
+which every node carries a tangent rule and the second-order part of its
+backward rule.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class Tensor:
         return self.data.size
 
     def assign(self, values) -> None:
-        """Replace the stored values (same shape); used by optimizers and HVP probes."""
+        """Replace the stored values (same shape); used by optimizers."""
         arr = np.asarray(values, dtype=np.float64)
         if arr.shape != self.data.shape:
             raise ShapeError(f"assign: expected shape {self.data.shape}, got {arr.shape}")
@@ -76,16 +78,25 @@ class Tensor:
 
 
 class TapeNode:
-    """One recorded operation: parents, output, and the backward rule."""
+    """One recorded operation: parents, output, and its rules.
 
-    __slots__ = ("op", "idx", "parents", "out", "vjp", "needs")
+    ``vjp(g)`` maps the output's adjoint to one adjoint per parent.
+    ``jvp(tangents)`` maps one tangent per parent (None for zero) to the
+    output's tangent.  ``vjp2(g, tangents)`` is the second-order part of
+    the VJP, its derivative along the parent tangents with ``g`` held
+    fixed; it is None for ops linear in their inputs.
+    """
 
-    def __init__(self, op, parents, out, vjp, needs):
+    __slots__ = ("op", "idx", "parents", "out", "vjp", "jvp", "vjp2", "needs")
+
+    def __init__(self, op, parents, out, vjp, jvp, vjp2, needs):
         self.op = op
         self.idx = next(_node_counter)
         self.parents = parents
         self.out = out
         self.vjp = vjp
+        self.jvp = jvp
+        self.vjp2 = vjp2
         self.needs = needs
 
 
@@ -119,12 +130,12 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(op: str, out_data: np.ndarray, parents: tuple, vjp) -> Tensor:
+def _make(op: str, out_data: np.ndarray, parents: tuple, vjp, jvp, vjp2=None) -> Tensor:
     out = Tensor(out_data)
     if _grad_enabled():
         needs = tuple(p.requires_grad or p.node is not None for p in parents)
         if any(needs):
-            out.node = TapeNode(op, parents, out, vjp, needs)
+            out.node = TapeNode(op, parents, out, vjp, jvp, vjp2, needs)
     return out
 
 
@@ -158,36 +169,39 @@ def interp_slopes(x, grid, values) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Operations.
 
+def _matmul_vjp(ad, bd):
+    """The backward rule of ``ad @ bd`` for each pairing of ranks 1 and 2."""
+    if ad.ndim == 2 and bd.ndim == 2:
+        return lambda g: (g @ bd.T, ad.T @ g)
+    if ad.ndim == 2:
+        return lambda g: (np.outer(g, bd), ad.T @ g)
+    if bd.ndim == 2:
+        return lambda g: (bd @ g, np.outer(ad, g))
+    return lambda g: (g * bd, g * ad)
+
+
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: inner dimensions disagree, {ad.shape} vs {bd.shape}")
-
-        def vjp(g):
-            return g @ bd.T, ad.T @ g
-    elif ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeError(f"matmul: inner dimensions disagree, {ad.shape} vs {bd.shape}")
-
-        def vjp(g):
-            return np.outer(g, bd), ad.T @ g
-    elif ad.ndim == 1 and bd.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise ShapeError(f"matmul: inner dimensions disagree, {ad.shape} vs {bd.shape}")
-
-        def vjp(g):
-            return bd @ g, np.outer(ad, g)
-    elif ad.ndim == 1 and bd.ndim == 1:
-        if ad.shape[0] != bd.shape[0]:
-            raise ShapeError(f"matmul: inner dimensions disagree, {ad.shape} vs {bd.shape}")
-
-        def vjp(g):
-            return g * bd, g * ad
-    else:
+    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
         raise ShapeError(f"matmul: unsupported ranks, {ad.shape} vs {bd.shape}")
-    return _make("matmul", ad @ bd, (a, b), vjp)
+    if ad.shape[-1] != bd.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions disagree, {ad.shape} vs {bd.shape}")
+
+    def jvp(ts):
+        ta, tb = ts
+        if tb is None:
+            return ta @ bd
+        return ad @ tb if ta is None else ta @ bd + ad @ tb
+
+    def vjp2(g, ts):
+        # Bilinear: the second-order part is the backward rule with the
+        # tangents in place of the inputs, (g Rb', Ra' g) for matrices.
+        ta, tb = ts
+        ga, gb = _matmul_vjp(ad if ta is None else ta, bd if tb is None else tb)(g)
+        return (None if tb is None else ga, None if ta is None else gb)
+
+    return _make("matmul", ad @ bd, (a, b), _matmul_vjp(ad, bd), jvp, vjp2)
 
 
 def add(a, b) -> Tensor:
@@ -216,35 +230,60 @@ def add(a, b) -> Tensor:
             f"add: cannot combine shapes {ad.shape} and {bd.shape}; "
             "only equal shapes, scalar broadcast, and per-row bias are supported"
         )
-    return _make("add", ad + bd, (a, b), vjp)
+    out = ad + bd
+
+    def jvp(ts):
+        ta, tb = ts
+        t = tb if ta is None else ta if tb is None else ta + tb
+        return np.broadcast_to(t, out.shape)
+
+    return _make("add", out, (a, b), vjp, jvp)
 
 
-# Builtin scalar functions: name -> (value, derivative), both of the input.
-# The unary ops, the fused activation and ``nn.BUILTINS`` all read them here.
+# Builtin scalar functions: name -> (value, first, second derivative), each
+# a function of the input.  The unary ops, the fused activation and
+# ``nn.BUILTINS`` all read them here.
 
 def _sigmoid_slope(x):
     y = sigmoid_values(x)
     return y * (1.0 - y)
 
 
+def _sigmoid_curvature(x):
+    y = sigmoid_values(x)
+    return y * (1.0 - y) * (1.0 - 2.0 * y)
+
+
+def _tanh_curvature(x):
+    t = np.tanh(x)
+    return -2.0 * t * (1.0 - t * t)
+
+
 UNARY = {
-    "zero": (np.zeros_like, lambda x: 0.0),
-    "identity": (np.copy, lambda x: 1.0),
-    "sigmoid": (sigmoid_values, _sigmoid_slope),
-    "tanh": (np.tanh, lambda x: 1.0 - np.square(np.tanh(x))),
-    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(np.float64)),
-    "sine": (np.sin, np.cos),
+    "zero": (np.zeros_like, lambda x: 0.0, lambda x: 0.0),
+    "identity": (np.copy, lambda x: 1.0, lambda x: 0.0),
+    "sigmoid": (sigmoid_values, _sigmoid_slope, _sigmoid_curvature),
+    "tanh": (np.tanh, lambda x: 1.0 - np.square(np.tanh(x)), _tanh_curvature),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(np.float64), lambda x: 0.0),
+    "sine": (np.sin, np.cos, lambda x: -np.sin(x)),
 }
 
 
-def _unary(op: str, x, forward, deriv) -> Tensor:
+def _unary(op: str, x, forward, deriv, second=None) -> Tensor:
+    """Elementwise op; ``second`` is None where the second derivative is 0."""
     x = as_tensor(x)
     xd = x.data
 
     def vjp(g):
         return (g * deriv(xd),)
 
-    return _make(op, forward(xd), (x,), vjp)
+    def jvp(ts):
+        return ts[0] * deriv(xd)
+
+    def vjp2(g, ts):
+        return (g * second(xd) * ts[0],)
+
+    return _make(op, forward(xd), (x,), vjp, jvp, None if second is None else vjp2)
 
 
 def _builtin(name: str, x) -> Tensor:
@@ -276,7 +315,7 @@ def zero(x) -> Tensor:
 
 
 def square(x) -> Tensor:
-    return _unary("square", x, np.square, lambda xd: 2.0 * xd)
+    return _unary("square", x, np.square, lambda xd: 2.0 * xd, lambda xd: 2.0)
 
 
 def scale(x, c: float) -> Tensor:
@@ -301,7 +340,10 @@ def reshape(x, shape) -> Tensor:
     def vjp(g):
         return (g.reshape(xd.shape),)
 
-    return _make("reshape", xd.reshape(shape), (x,), vjp)
+    def jvp(ts):
+        return ts[0].reshape(shape)
+
+    return _make("reshape", xd.reshape(shape), (x,), vjp, jvp)
 
 
 def activation_values(spec, x: np.ndarray, subnet=None):
@@ -331,6 +373,28 @@ def activation_values(spec, x: np.ndarray, subnet=None):
     raise ValueError(f"unknown activation kind {spec.kind!r}")
 
 
+# Rows of a subnet group's hidden layer that the non-overwriting rules of
+# ``activation`` (those of ``hvp_operator``) hold in temporaries at a time.
+HVP_BLOCK_ROWS = 512
+
+
+def _row_blocks(n: int, overwrite: bool) -> list:
+    if overwrite:
+        return [slice(None)]
+    return [slice(r, r + HVP_BLOCK_ROWS) for r in range(0, n, HVP_BLOCK_ROWS)]
+
+
+def _tanh_slope(hid_rows, overwrite: bool):
+    """s = 1 - hid**2, written over ``hid_rows`` if ``overwrite``."""
+    s = np.square(hid_rows, out=hid_rows if overwrite else None)
+    return np.subtract(1.0, s, out=s)
+
+
+def _tangents(ts, params):
+    """Each tangent of ``ts``, or zeros shaped like its parameter array."""
+    return [np.zeros_like(p) if t is None else t for t, p in zip(ts, params)]
+
+
 def activation(z, groups) -> Tensor:
     """Fused activation layer: each column group of the matrix ``z`` through
     its own scalar function, as one tape node.
@@ -342,6 +406,12 @@ def activation(z, groups) -> Tensor:
     s = 1 - hid**2 per subnet group,
     dz = g (base'(z) + s (w1 w2)), dw2 = g'hid, db1 = w2 (g's),
     dw1 = w2 ((g z)'s) and db2 = sum(g).
+
+    The tangent and second-order rules differentiate these along tangents
+    (Rz, Rw1, Rb1, Rw2, Rb2), with R(a) = Rw1 z + w1 Rz + Rb1 for the
+    sub-network's pre-activation, R(hid) = s R(a) and R(s) = -2 hid R(hid).
+    They, and the backward rule when ``hvp_operator`` calls it, form s,
+    R(hid) and R(s) in blocks of ``HVP_BLOCK_ROWS`` rows and keep hid intact.
     """
     z = as_tensor(z)
     zd = z.data
@@ -355,7 +425,7 @@ def activation(z, groups) -> Tensor:
         raise ShapeError(f"activation: column groups do not partition {zd.shape[1]} columns")
     out = np.empty_like(zd)
     parents = [z]
-    saved = []  # per subnet group: hid, w2 and w1 * w2 as of this forward pass
+    saved = []  # per subnet group: hid, w1, w2 and w1 * w2 as of this forward pass
     for cols, spec, subnet in groups:
         y, hid = activation_values(spec, zd[:, cols], subnet)
         out[:, cols] = y
@@ -363,13 +433,29 @@ def activation(z, groups) -> Tensor:
             saved.append(None)
         else:
             parents += [subnet.w1, subnet.b1, subnet.w2, subnet.b2]
-            saved.append((hid, subnet.w2.data, subnet.w1.data * subnet.w2.data))
+            w1, w2 = subnet.w1.data, subnet.w2.data
+            saved.append((hid, w1, w2, w1 * w2))
 
-    def vjp(g):
+    def per_group(ts=None):
+        """(cols, x, rx, spec, saved, subnet tangents) per group; rx and
+        the subnet tangents, zeros where ``ts`` has None, only with ``ts``."""
+        rz = None if ts is None else _tangents(ts[:1], [zd])[0]
+        k = 1
+        for (cols, spec, _), sub in zip(groups, saved):
+            rx = None if rz is None else rz[:, cols]
+            rsub = None
+            if sub is not None and ts is not None:
+                hw = sub[1]
+                rsub = _tangents(ts[k:k + 4], [hw, hw, hw, np.zeros(())])
+                k += 4
+            yield cols, zd[:, cols], rx, spec, sub, rsub
+
+    def vjp(g, overwrite=True):
+        # ``backward`` is a tape's last use, so s may overwrite hid there.
         gz = np.empty_like(zd)
         grads = [gz]
-        for (cols, spec, _), sub in zip(groups, saved):
-            x, gc = zd[:, cols], g[:, cols]
+        for cols, x, _, spec, sub, _ in per_group():
+            gc = g[:, cols]
             if spec.kind == "tabulated":
                 gz[:, cols] = gc * interp_slopes(x, spec.grid, spec.values)
                 continue
@@ -377,18 +463,84 @@ def activation(z, groups) -> Tensor:
             if sub is None:
                 gz[:, cols] = gc * slope
                 continue
-            hid, w2, w1w2 = sub
-            gf = gc.ravel()
-            gw2 = gf @ hid
-            # s = 1 - hid**2 overwrites hid: backward replays each node once.
-            s = np.square(hid, out=hid)
-            np.subtract(1.0, s, out=s)
-            gs, gzs = np.stack([gf, gf * x.ravel()]) @ s
-            gz[:, cols] = gc * (slope + (s @ w1w2).reshape(x.shape))
+            hid, _, w2, w1w2 = sub
+            gf, xf = gc.ravel(), x.ravel()
+            dzs = np.empty_like(gf)
+            gw2 = gs = gzs = 0.0
+            for rows in _row_blocks(len(hid), overwrite):
+                h, gr = hid[rows], gf[rows]
+                gw2 = gw2 + gr @ h
+                s = _tanh_slope(h, overwrite)
+                block_gs, block_gzs = np.stack([gr, gr * xf[rows]]) @ s
+                gs, gzs = gs + block_gs, gzs + block_gzs
+                dzs[rows] = s @ w1w2
+            gz[:, cols] = gc * (slope + dzs.reshape(x.shape))
             grads += [w2 * gzs, w2 * gs, gw2, np.asarray(gf.sum())]
         return tuple(grads)
 
-    return _make("activation", out, tuple(parents), vjp)
+    def jvp(ts):
+        ry = np.empty_like(zd)
+        for cols, x, rx, spec, sub, rsub in per_group(ts):
+            if spec.kind == "tabulated":
+                ry[:, cols] = rx * interp_slopes(x, spec.grid, spec.values)
+                continue
+            base = rx * UNARY[spec.name][1](x)
+            if sub is None:
+                ry[:, cols] = base
+                continue
+            hid, w1, w2, w1w2 = sub
+            rw1, rb1, rw2, rb2 = rsub
+            xf, rxf = x.ravel(), rx.ravel()
+            # R(res) = hid Rw2 + Rb2 + (s R(a)) w2, the last as s (w2 Rw1) z
+            # + s (w1 w2) Rz + s (w2 Rb1).
+            coef = np.stack([w2 * rw1, w1w2, w2 * rb1], axis=1)
+            res = np.empty_like(xf)
+            for rows in _row_blocks(len(hid), False):
+                h = hid[rows]
+                c = _tanh_slope(h, False) @ coef
+                res[rows] = h @ rw2 + xf[rows] * c[:, 0] + rxf[rows] * c[:, 1] + c[:, 2]
+            ry[:, cols] = base + (res + rb2).reshape(x.shape)
+        return ry
+
+    def vjp2(g, ts):
+        gz = np.empty_like(zd)
+        grads = [gz]
+        for cols, x, rx, spec, sub, rsub in per_group(ts):
+            if spec.kind == "tabulated":  # piecewise linear: no second-order term
+                gz[:, cols] = 0.0
+                continue
+            gc = g[:, cols]
+            curvature = UNARY[spec.name][2](x) * rx
+            if sub is None:
+                gz[:, cols] = gc * curvature
+                continue
+            hid, w1, w2, w1w2 = sub
+            rw1, rb1, rw2, _ = rsub
+            gf, xf, rxf = gc.ravel(), x.ravel(), rx.ravel()
+            a_coef = np.stack([rw1, w1, rb1])
+            s_coef = w1 * rw2 + rw1 * w2
+            rdz = np.empty_like(gf)
+            g_s = g_rs = g_rhid = 0.0
+            for rows in _row_blocks(len(hid), False):
+                h, gr, xr, rxr = hid[rows], gf[rows], xf[rows], rxf[rows]
+                s = _tanh_slope(h, False)
+                lhs = np.stack([gr, gr * xr, gr * rxr])
+                g_s = g_s + lhs @ s
+                rdz[rows] = s @ s_coef
+                r = np.stack([xr, rxr, np.ones_like(xr)], axis=1) @ a_coef
+                r *= s  # R(hid)
+                g_rhid = g_rhid + gr @ r
+                r *= h
+                r *= -2.0  # R(s)
+                g_rs = g_rs + lhs[:2] @ r
+                rdz[rows] += r @ w1w2
+            # g_s = (g's, (g z)'s, (g Rz)'s); g_rs = (g'R(s), (g z)'R(s)).
+            gz[:, cols] = gc * (curvature + rdz.reshape(x.shape))
+            grads += [rw2 * g_s[1] + w2 * (g_s[2] + g_rs[1]),
+                      rw2 * g_s[0] + w2 * g_rs[0], g_rhid, None]
+        return tuple(grads)
+
+    return _make("activation", out, tuple(parents), vjp, jvp, vjp2)
 
 
 def reduce_mean(x) -> Tensor:
@@ -398,7 +550,10 @@ def reduce_mean(x) -> Tensor:
     def vjp(g):
         return (np.full(xd.shape, float(g) / xd.size),)
 
-    return _make("reduce-mean", np.asarray(xd.mean()), (x,), vjp)
+    def jvp(ts):
+        return np.asarray(ts[0].mean())
+
+    return _make("reduce-mean", np.asarray(xd.mean()), (x,), vjp, jvp)
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:
@@ -424,12 +579,24 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     loss = -logp[np.arange(m), labels].mean()
 
-    def vjp(g):
+    def dlogits():
+        """m times the loss's gradient: softmax minus the one-hot labels."""
         p = np.exp(logp)
         p[np.arange(m), labels] -= 1.0
-        return (float(g) / m * p,)
+        return p
 
-    return _make("softmax-cross-entropy", np.asarray(loss), (lg,), vjp)
+    def vjp(g):
+        return (float(g) / m * dlogits(),)
+
+    def jvp(ts):
+        return np.asarray((dlogits() * ts[0]).sum() / m)
+
+    def vjp2(g, ts):
+        # The softmax's Jacobian, diag(p) - p p', applied row by row.
+        p, t = np.exp(logp), ts[0]
+        return (float(g) / m * p * (t - (p * t).sum(axis=1, keepdims=True)),)
+
+    return _make("softmax-cross-entropy", np.asarray(loss), (lg,), vjp, jvp, vjp2)
 
 
 def mse(pred, target) -> Tensor:
@@ -443,7 +610,18 @@ def mse(pred, target) -> Tensor:
         d = (2.0 * float(g) / diff.size) * diff
         return d, -d
 
-    return _make("mean-squared-error", np.asarray((diff * diff).mean()), (p, t), vjp)
+    def rdiff(ts):
+        tp, tt = ts
+        return -tt if tp is None else tp if tt is None else tp - tt
+
+    def jvp(ts):
+        return np.asarray((2.0 / diff.size) * (diff * rdiff(ts)).sum())
+
+    def vjp2(g, ts):
+        d = (2.0 * float(g) / diff.size) * rdiff(ts)
+        return d, -d
+
+    return _make("mean-squared-error", np.asarray((diff * diff).mean()), (p, t), vjp, jvp, vjp2)
 
 
 _OPS = {
@@ -478,18 +656,15 @@ def record(op: str, *inputs, **attrs) -> Tensor:
 # ---------------------------------------------------------------------------
 # Reverse pass.
 
-def backward(loss: Tensor) -> GradientMap:
-    """Accumulate d(loss)/d(leaf) for every parameter on the tape.
-
-    The loss must be scalar.  The tape is cleared afterwards, so replaying
-    requires a fresh forward pass.
-    """
+def _check_loss(loss) -> None:
     if not isinstance(loss, Tensor) or loss.data.ndim != 0:
         shape = getattr(getattr(loss, "data", loss), "shape", None)
-        raise ValueError(f"backward expects a scalar loss tensor, got shape {shape}")
-    if loss.node is None:
-        return GradientMap({})
+        raise ValueError(f"expected a scalar loss tensor, got shape {shape}")
 
+
+def _detach_tape(loss: Tensor) -> list:
+    """The nodes behind ``loss`` in creation order.  The tape is cleared
+    from its tensors, so only the returned nodes still reach it."""
     nodes = []
     tensors = []
     seen = set()
@@ -504,26 +679,50 @@ def backward(loss: Tensor) -> GradientMap:
             nodes.append(t.node)
             stack.extend(t.node.parents)
     nodes.sort(key=lambda n: n.idx)
+    for t in tensors:
+        t.node = None
+    return nodes
 
+
+def _accumulate(adjoint: dict, node: TapeNode, grads) -> None:
+    """Add a rule's per-parent results into ``adjoint`` (keyed by tensor id)."""
+    for parent, needed, g_par in zip(node.parents, node.needs, grads):
+        if not needed or g_par is None:
+            continue
+        prev = adjoint.get(id(parent))
+        adjoint[id(parent)] = g_par if prev is None else prev + g_par
+
+
+def _adjoints(loss: Tensor, nodes, vjp) -> dict:
+    """Reverse pass: the adjoint of every tensor on the tape, by id, with
+    ``vjp(node, g)`` applying each node's backward rule."""
     adjoint = {id(loss): np.ones((), dtype=np.float64)}
     for node in reversed(nodes):
         g_out = adjoint.get(id(node.out))
-        if g_out is None:
-            continue
-        for parent, needed, g_par in zip(node.parents, node.needs, node.vjp(g_out)):
-            if not needed or g_par is None:
-                continue
-            prev = adjoint.get(id(parent))
-            adjoint[id(parent)] = g_par if prev is None else prev + g_par
+        if g_out is not None:
+            _accumulate(adjoint, node, vjp(node, g_out))
+    return adjoint
 
-    grads = {
-        t: np.asarray(adjoint[id(t)])
-        for t in tensors
-        if t.requires_grad and id(t) in adjoint
-    }
-    for t in tensors:
-        t.node = None
-    return GradientMap(grads)
+
+def backward(loss: Tensor) -> GradientMap:
+    """Accumulate d(loss)/d(leaf) for every parameter on the tape.
+
+    The loss must be scalar.  The tape is cleared afterwards, so replaying
+    requires a fresh forward pass.
+    """
+    _check_loss(loss)
+    if loss.node is None:
+        return GradientMap({})
+    nodes = _detach_tape(loss)
+    adjoint = _adjoints(loss, nodes, lambda node, g: node.vjp(g))
+    leaves = [p for node in nodes for p in node.parents if p.requires_grad]
+    return GradientMap({t: np.asarray(adjoint[id(t)]) for t in leaves if id(t) in adjoint})
+
+
+def _keep_vjp(node: TapeNode, g):
+    """The node's VJP, leaving the tape as it found it: the fused
+    activation's rule otherwise overwrites its saved hidden layer."""
+    return node.vjp(g, overwrite=False) if node.op == "activation" else node.vjp(g)
 
 
 # ---------------------------------------------------------------------------
@@ -548,33 +747,56 @@ def assign_flat(params, vec: np.ndarray) -> None:
         raise ShapeError(f"assign_flat: vector has {vec.size} entries, parameters hold {offset}")
 
 
-def flat_gradient(lossfn, params) -> np.ndarray:
-    """Gradient of ``lossfn()`` w.r.t. ``params``, flattened in parameter order."""
-    grads = backward(lossfn())
-    if not params:
-        return np.zeros(0)
-    return np.concatenate([grads[p].ravel() for p in params])
+def hvp_operator(lossfn, params):
+    """Linearize ``lossfn()`` at the current parameters; return v -> Hv.
+
+    One forward and one reverse pass run here, and the operator keeps
+    their tape and adjoints.  Each application is one tangent-forward pass
+    (R of every node output along v) and one R-reverse pass: the adjoint
+    of a parent gains vjp(R g) + vjp2(g, tangents) per node, g the node's
+    kept adjoint.  Hv is exact wherever the loss is twice differentiable;
+    the parameters are never perturbed.
+    """
+    params = list(params)
+    sizes = [p.data.size for p in params]
+    loss = lossfn()
+    _check_loss(loss)
+    nodes = [] if loss.node is None else _detach_tape(loss)
+    adjoint = _adjoints(loss, nodes, _keep_vjp)
+
+    def apply(v) -> np.ndarray:
+        v = np.asarray(v, dtype=np.float64).ravel()
+        if v.size != sum(sizes):
+            raise ShapeError(f"hessian_vector_product: vector length {v.size} "
+                             f"!= parameter count {sum(sizes)}")
+        tangent = {}
+        for p, part in zip(params, np.split(v, np.cumsum(sizes)[:-1])):
+            tangent[id(p)] = part.reshape(p.data.shape)
+        for node in nodes[:-1]:  # nothing reads the loss's own tangent
+            ts = tuple(tangent.get(id(p)) for p in node.parents)
+            if any(t is not None for t in ts):
+                tangent[id(node.out)] = node.jvp(ts)
+        r_adjoint = {}
+        for node in reversed(nodes):
+            # Every consumer of this output has run: drop its tangent.
+            tangent.pop(id(node.out), None)
+            g_out = adjoint.get(id(node.out))
+            if g_out is None:
+                continue
+            rg = r_adjoint.pop(id(node.out), None)
+            if rg is not None:
+                _accumulate(r_adjoint, node, _keep_vjp(node, rg))
+            ts = tuple(tangent.get(id(p)) for p in node.parents)
+            if node.vjp2 is not None and any(t is not None for t in ts):
+                _accumulate(r_adjoint, node, node.vjp2(g_out, ts))
+        if not params:
+            return np.zeros(0)
+        return np.concatenate([np.ravel(r_adjoint.get(id(p), np.zeros(p.data.shape)))
+                               for p in params])
+
+    return apply
 
 
 def hessian_vector_product(lossfn, params, v) -> np.ndarray:
-    """Hv as a central finite difference of gradients.
-
-    Step size follows eps = 1e-4 * (1 + max|p|); parameters are restored
-    bitwise afterwards.
-    """
-    params = list(params)
-    v = np.asarray(v, dtype=np.float64).ravel()
-    p0 = flatten_params(params)
-    if v.size != p0.size:
-        raise ShapeError(f"hessian_vector_product: vector length {v.size} != parameter count {p0.size}")
-    if p0.size == 0:
-        return np.zeros(0)
-    eps = 1e-4 * (1.0 + np.abs(p0).max())
-    try:
-        assign_flat(params, p0 + eps * v)
-        g_plus = flat_gradient(lossfn, params)
-        assign_flat(params, p0 - eps * v)
-        g_minus = flat_gradient(lossfn, params)
-    finally:
-        assign_flat(params, p0)
-    return (g_plus - g_minus) / (2.0 * eps)
+    """Exact Hv at the current parameters: ``hvp_operator(lossfn, params)(v)``."""
+    return hvp_operator(lossfn, params)(v)

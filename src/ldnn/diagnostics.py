@@ -107,14 +107,15 @@ class HessianSummary:
 
 def hessian_matrix(lossfn, params) -> np.ndarray:
     """Assemble H column by column from Hessian-vector products on basis
-    vectors.  Not symmetrized; callers can measure the numerical asymmetry."""
+    vectors.  Not symmetrized; callers can measure the rounding asymmetry."""
     params = list(params)
     n = ad.flatten_params(params).size
+    hvp = ad.hvp_operator(lossfn, params)
     H = np.empty((n, n))
     basis = np.zeros(n)
     for i in range(n):
         basis[i] = 1.0
-        H[:, i] = ad.hessian_vector_product(lossfn, params, basis)
+        H[:, i] = hvp(basis)
         basis[i] = 0.0
     return H
 
@@ -183,8 +184,7 @@ def hessian_trace_hutchinson(lossfn, params, n_probes: int = 200, seed=0,
                              deflate: LanczosResult = None) -> TraceEstimate:
     params = list(params)
     n = ad.flatten_params(params).size
-    return hutchinson_trace(lambda z: ad.hessian_vector_product(lossfn, params, z),
-                            n, n_probes, seed, deflate)
+    return hutchinson_trace(ad.hvp_operator(lossfn, params), n, n_probes, seed, deflate)
 
 
 @dataclass
@@ -255,8 +255,7 @@ def lanczos(matvec, dim: int, k: int, seed=0, eps_zero: float = None) -> Lanczos
 def spectrum_lanczos(lossfn, params, k: int, seed=0, eps_zero: float = None) -> LanczosResult:
     params = list(params)
     n = ad.flatten_params(params).size
-    return lanczos(lambda z: ad.hessian_vector_product(lossfn, params, z),
-                   n, k, seed, eps_zero)
+    return lanczos(ad.hvp_operator(lossfn, params), n, k, seed, eps_zero)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,13 @@ def _sum_sq(t):
     return ad.scale(ad.reduce_mean(ad.square(t)), float(t.data.size))
 
 
+def knot_distance(x):
+    """Distance to the nearest knot of the tables below (spacing 0.5, one
+    knot at 0, where relu's kink is too)."""
+    frac = (x + 2.5) % 0.5
+    return np.minimum(frac, 0.5 - frac)
+
+
 def criterion_1_checks():
     """Gradcheck cases by name.  A name is an ``ad._OPS`` op kind, or an op
     kind followed by ``-`` and the case it covers."""
@@ -132,8 +139,7 @@ def criterion_1_checks():
 
     def off_knots(x):
         # keep probes clear of the knots (spacing 0.5) so FD stays one-sided
-        frac = (x + 2.5) % 0.5
-        x[np.minimum(frac, 0.5 - frac) < 1e-3] += 0.01
+        x[knot_distance(x) < 1e-3] += 0.01
         return x
 
     checks["interp"] = lambda rng: (off_knots(rng.uniform(-2, 2, size=(3, 3))),
@@ -221,6 +227,156 @@ def test_criterion_1_covers_every_op():
     missing = [op for op in sorted(set(ad._OPS) | {"activation"})
                if not any(name == op or name.startswith(op + "-") for name in names)]
     assert not missing, f"op kinds without a criterion 1 gradcheck case: {missing}"
+
+
+# ---------------------------------------------------------------------------
+# Exact Hessian-vector products: every op's tangent and second-order rules
+# against differences of tape gradients.
+
+HVP_STEP = 1e-4
+HVP_KNOT_MARGIN = 5e-3  # well above HVP_STEP times any tangent a case produces
+
+
+def tape_gradient(loss_fn, arrays):
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    grads = ad.backward(loss_fn(tensors))
+    return np.concatenate([grads[t].ravel() for t in tensors])
+
+
+def richardson_hvp(loss_fn, arrays, v, h=HVP_STEP):
+    """Hv from central differences of tape gradients along v, extrapolated
+    from steps h and h/2 so the error is O(h^4)."""
+    parts = np.split(v, np.cumsum([a.size for a in arrays])[:-1])
+
+    def difference(step):
+        plus, minus = (tape_gradient(loss_fn, [a + sign * step * p.reshape(a.shape)
+                                               for a, p in zip(arrays, parts)])
+                       for sign in (1.0, -1.0))
+        return (plus - minus) / (2 * step)
+
+    return (4 * difference(h / 2) - difference(h)) / 3
+
+
+def hvp_checks():
+    """HVP cases by name, named as in ``criterion_1_checks``.  A case maps
+    an rng to (input arrays, loss function of one tensor per array); all
+    inputs are differentiated, and kinks and knots are kept
+    ``HVP_KNOT_MARGIN`` away."""
+
+    def on(shape, margin=0.0):
+        def draw(rng):
+            x = rng.uniform(-2, 2, size=shape)
+            x[knot_distance(x) < margin] += 0.1
+            return x
+        return draw
+
+    def case(loss_fn, *draws):
+        return lambda rng: ([d(rng) for d in draws], loss_fn)
+
+    checks = {op: case(lambda ts, op=op: _sum_sq(ad.record(op, ts[0])), on((3, 4)))
+              for op in ["tanh", "sigmoid", "sine", "identity", "zero", "square"]}
+    checks["relu"] = case(lambda ts: _sum_sq(ad.relu(ts[0])), on((3, 4), HVP_KNOT_MARGIN))
+    checks["scale"] = case(lambda ts: _sum_sq(ad.scale(ad.sine(ts[0]), -1.7)), on((4,)))
+    w_fixed = np.random.default_rng(6).uniform(-1, 1, size=(4, 3))
+    checks["reshape"] = case(
+        lambda ts: _sum_sq(ad.matmul(ad.reshape(ad.sine(ts[0]), (3, 4)), Tensor(w_fixed))), on((2, 6)))
+    checks["reduce-mean"] = case(lambda ts: ad.square(ad.reduce_mean(ad.sine(ts[0]))), on((3, 5)))
+    grid = np.linspace(-2.5, 2.5, 11)
+    tab_vals = np.random.default_rng(5).standard_normal(11)
+    checks["interp"] = case(lambda ts: _sum_sq(ad.interp(ts[0], grid, tab_vals)),
+                            on((3, 3), HVP_KNOT_MARGIN))
+    for name, (sa, sb) in {"mat": ((3, 4), (4, 3)), "matvec": ((3, 4), (4,)),
+                           "vecmat": ((4,), (4, 3)), "dot": ((4,), (4,))}.items():
+        checks[f"matmul-{name}"] = case(lambda ts: _sum_sq(ad.matmul(*ts)), on(sa), on(sb))
+    for name, sb in {"same": (5, 3), "bias": (3,), "scalar": ()}.items():
+        checks[f"add-{name}"] = case(lambda ts: _sum_sq(ad.sine(ad.add(*ts))), on((5, 3)), on(sb))
+    labels_fixed = np.random.default_rng(9).integers(0, 4, size=6)
+    checks["softmax-cross-entropy"] = case(
+        lambda ts: _sum_sq(ad.softmax_cross_entropy(ts[0], labels_fixed)), on((6, 4)))
+    checks["mean-squared-error"] = case(lambda ts: _sum_sq(ad.mse(*ts)), on((4, 3)), on((4, 3)))
+
+    # The fused layer: one case per kind of column group, z and every
+    # subnet tensor differentiated together; a mixed layer; two layers.
+    subnet = ActivationSpec.subnet("sine", 5)
+    tabulated = ActivationSpec.tabulated(grid, tab_vals)
+    sub_draws = [on((5,)), on((5,)), on((5,)), on(())]
+
+    def layer(spec):
+        def loss_fn(ts):
+            sub = nn.SubnetParams(*ts[1:]) if spec.kind == "subnet" else None
+            return _sum_sq(ad.activation(ts[0], [(slice(None), spec, sub)]))
+        return loss_fn
+
+    checks["activation-builtin"] = case(layer(ActivationSpec.builtin("sigmoid")), on((3, 4)))
+    checks["activation-subnet"] = case(layer(subnet), on((3, 4)), *sub_draws)
+    checks["activation-tabulated"] = case(layer(tabulated), on((3, 3), HVP_KNOT_MARGIN))
+
+    kinds = [ActivationSpec.builtin("relu"), subnet, tabulated, ActivationSpec.builtin("tanh")]
+
+    def groups(assignment, sub):
+        return [(np.flatnonzero(assignment == t), spec, sub if spec.kind == "subnet" else None)
+                for t, spec in enumerate(kinds) if (assignment == t).any()]
+
+    mixed = np.array([2, 2, 0, 1, 1, 0, 0, 2])
+    checks["activation-mixed"] = case(
+        lambda ts: _sum_sq(ad.activation(ts[0], groups(mixed, nn.SubnetParams(*ts[1:])))),
+        on((3, 8), HVP_KNOT_MARGIN), *sub_draws)
+
+    # x -> (W0, b0) -> mixed layer -> (W1, b1) -> mixed layer -> W2 -> cross
+    # entropy, one subnet type shared by both layers.
+    layers = (np.array([0, 1, 2, 3, 1, 0, 2, 3]), np.array([1, 3, 1, 2, 0, 1]))
+    x_two = np.random.default_rng(13).uniform(-1, 1, size=(5, 3))
+    labels_two = np.random.default_rng(14).integers(0, 4, size=5)
+
+    def two_layers(ts):
+        a, sub, pre = Tensor(x_two), nn.SubnetParams(*ts[5:]), []
+        for i, assignment in enumerate(layers):
+            z = ad.add(ad.matmul(a, ts[2 * i]), ts[2 * i + 1])
+            a = ad.activation(z, groups(assignment, sub))
+            pre.append(z.data[:, (assignment == 0) | (assignment == 2)])
+        return ad.softmax_cross_entropy(ad.matmul(a, ts[4]), labels_two), pre
+
+    def two_layer_case(rng):
+        for _ in range(100):
+            arrays = [rng.uniform(-1, 1, size=s)
+                      for s in [(3, 8), (8,), (8, 6), (6,), (6, 4), (5,), (5,), (5,), ()]]
+            with ad.no_grad():
+                _, pre = two_layers([Tensor(a) for a in arrays])
+            if min(knot_distance(z).min() for z in pre) > HVP_KNOT_MARGIN:
+                return arrays, lambda ts: two_layers(ts)[0]
+        raise RuntimeError("no draw kept the pre-activations clear of the knots")
+
+    checks["activation-two-layers"] = two_layer_case
+    return checks
+
+
+def test_hvp_covers_every_op():
+    """Every op kind, and each kind of fused-activation group, has an HVP case."""
+    names = list(hvp_checks())
+    required = set(ad._OPS) | {f"activation-{k}" for k in
+                               ("builtin", "subnet", "tabulated", "mixed", "two-layers")}
+    missing = [op for op in sorted(required)
+               if not any(name == op or name.startswith(op + "-") for name in names)]
+    assert not missing, f"op kinds without an HVP case: {missing}"
+
+
+def test_hvp_matches_gradient_differences():
+    tol = 1e-8
+    failures = []
+    for name, build in hvp_checks().items():
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(20):
+            arrays, loss_fn = build(rng)
+            tensors = [Tensor(a, requires_grad=True) for a in arrays]
+            v = rng.standard_normal(sum(a.size for a in arrays))
+            hv = ad.hessian_vector_product(lambda: loss_fn(tensors), tensors, v)
+            fd = richardson_hvp(loss_fn, arrays, v)
+            scale = max(np.abs(fd).max(), np.abs(hv).max())
+            worst = max(worst, np.abs(hv - fd).max() / scale if scale else 0.0)
+        if not worst <= tol:
+            failures.append(f"{name}: {worst:.2e}")
+    assert not failures, f"HVP differs from gradient differences beyond {tol:g}: {failures}"
 
 
 # ---------------------------------------------------------------------------

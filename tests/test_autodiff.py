@@ -397,6 +397,99 @@ class TestHessianVectorProduct:
         ad.hessian_vector_product(lambda: ad.reduce_mean(ad.square(x)), [x], np.ones(2))
         np.testing.assert_array_equal(x.data, before)
 
+    def test_unary_second_derivatives(self):
+        """Each builtin's second derivative against central differences of
+        its first, extrapolated from steps h and h/2."""
+        x = np.random.default_rng(36).uniform(-3, 3, size=200)
+        x[np.abs(x) < 0.01] += 0.05  # clear of relu's kink
+        h = 1e-3
+        for name, (_, first, second) in ad.UNARY.items():
+            def diff(step):
+                return (np.asarray(first(x + step)) - np.asarray(first(x - step))) / (2 * step)
+            expected = (4 * diff(h / 2) - diff(h)) / 3
+            err = np.abs(np.asarray(second(x)) - expected).max()
+            assert err < 1e-8 * max(1.0, np.abs(expected).max()), (name, err)
+
+    @staticmethod
+    def small_net(types, m=40, seed=37):
+        """One-hidden-layer classifier on a fixed random batch; sub-network
+        output weights drawn non-zero so every residual takes part."""
+        rng = np.random.default_rng(seed)
+        config = nn.mlp_config(6, 8, 3, types)
+        params = nn.init_network(config, seed=seed)
+        for sp in params.subnets.values():
+            sp.w2.assign(rng.uniform(-0.5, 0.5, size=sp.hidden_width))
+            sp.b2.assign(0.2)
+        x = rng.uniform(-1, 1, size=(m, 6))
+        y = rng.integers(0, 3, size=m)
+        tensors = params.all_tensors()
+        return (lambda: ad.softmax_cross_entropy(nn.forward(params, config, x)[0], y)), tensors
+
+    @staticmethod
+    def richardson_hvp(lossfn, params, v, h=1e-4):
+        """Central differences of tape gradients along v, extrapolated from
+        steps h and h/2; the parameters are restored."""
+        p0 = ad.flatten_params(params)
+
+        def grad_at(vec):
+            ad.assign_flat(params, vec)
+            grads = ad.backward(lossfn())
+            return np.concatenate([grads[p].ravel() for p in params])
+
+        def diff(step):
+            return (grad_at(p0 + step * v) - grad_at(p0 - step * v)) / (2 * step)
+
+        try:
+            return (4 * diff(h / 2) - diff(h)) / 3
+        finally:
+            ad.assign_flat(params, p0)
+
+    MIX = (ActivationSpec.subnet("sine", 7), ActivationSpec.subnet("tanh", 5),
+           ActivationSpec.builtin("relu"))
+
+    @pytest.mark.parametrize("kind", ["relu", "tabulated"])
+    def test_exactly_linear_and_symmetric_on_kinked_nets(self, kind):
+        """Finite differences step across kinks and knots; the R-operator
+        differentiates the linear pieces it is on."""
+        grid = np.linspace(-3, 3, 25)
+        spec = (ActivationSpec.builtin("relu") if kind == "relu"
+                else ActivationSpec.tabulated(grid, np.tanh(grid)))
+        lossfn, params = self.small_net((spec,))
+        hvp = ad.hvp_operator(lossfn, params)
+        rng = np.random.default_rng(38)
+        for _ in range(3):
+            u, v = rng.standard_normal((2, ad.flatten_params(params).size))
+            hu, hv = hvp(u), hvp(v)
+            assert np.linalg.norm(hvp(2.0 * v) - 2.0 * hv) <= 1e-12 * np.linalg.norm(2.0 * hv)
+            scale = 0.5 * (np.linalg.norm(u) * np.linalg.norm(hv) + np.linalg.norm(v) * np.linalg.norm(hu))
+            assert abs(u @ hv - v @ hu) <= 1e-12 * scale
+
+    def test_operator_reuse(self):
+        """An operator keeps its tape intact: applying it again gives the
+        same bits, equal to a fresh operator's and to gradient differences,
+        and the parameters are never touched."""
+        lossfn, params = self.small_net(self.MIX)
+        before = [p.data.tobytes() for p in params]
+        hvp = ad.hvp_operator(lossfn, params)
+        rng = np.random.default_rng(39)
+        u, v = rng.standard_normal((2, ad.flatten_params(params).size))
+        hv = hvp(v)
+        hvp(u)
+        assert np.array_equal(hvp(v), hv)
+        assert [p.data.tobytes() for p in params] == before
+        assert np.array_equal(ad.hessian_vector_product(lossfn, params, v), hv)
+        fd = self.richardson_hvp(lossfn, params, v)
+        assert np.abs(hv - fd).max() <= 1e-8 * np.abs(fd).max()
+
+    def test_row_blocks_do_not_change_hv(self, monkeypatch):
+        lossfn, params = self.small_net(self.MIX, m=23)  # 23 * 3 rows per subnet group
+        v = np.random.default_rng(40).standard_normal(ad.flatten_params(params).size)
+        whole = ad.hessian_vector_product(lossfn, params, v)
+        monkeypatch.setattr(ad, "HVP_BLOCK_ROWS", 7)
+        blocked = ad.hessian_vector_product(lossfn, params, v)
+        assert not np.array_equal(blocked, whole)  # the sums were split
+        assert np.abs(blocked - whole).max() <= 1e-13 * np.abs(whole).max()
+
     @staticmethod
     def tiny_net():
         """tanh regression net with 14 parameters and a fixed batch."""
