@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from . import diagnostics as dg
 from . import metalearn as ml
 from . import nn
@@ -183,7 +184,8 @@ def hessian_diagnostics(params, config, dataset, n_probes: int, k: int, n_exampl
                         trace_seed: int, lanczos_seed: int):
     """Loss-Hessian flatness over all trainable parameters (theta and theta_a)
     on the first ``n_examples`` examples: a Lanczos run for the near-zero
-    fraction, then a Hutchinson trace deflated by its Krylov basis.
+    fraction, then a Hutchinson trace deflated by its Krylov basis, both
+    applying one linearization of the loss.
     Returns (TraceEstimate, LanczosResult, parameter count P)."""
     m = min(n_examples, dataset.n_examples)
     xb, yb = dataset.inputs[:m], dataset.targets[:m]
@@ -193,9 +195,9 @@ def hessian_diagnostics(params, config, dataset, n_probes: int, k: int, n_exampl
     def lossfn():
         return ml.batch_loss(params, config, xb, yb)
 
-    lan = dg.spectrum_lanczos(lossfn, theta_all, k=min(k, n_params), seed=lanczos_seed)
-    est = dg.hessian_trace_hutchinson(lossfn, theta_all, n_probes=n_probes,
-                                      seed=trace_seed, deflate=lan)
+    hvp = ad.hvp_operator(lossfn, theta_all)
+    lan = dg.lanczos(hvp, n_params, k=min(k, n_params), seed=lanczos_seed)
+    est = dg.hutchinson_trace(hvp, n_params, n_probes=n_probes, seed=trace_seed, deflate=lan)
     return est, lan, n_params
 
 
@@ -231,6 +233,7 @@ def run_single(exp: ExperimentConfig, train_set, val_set, variant: str,
 
 
 _POOL_STATE = {}
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _pool_init(exp, train_set, val_set, width):
@@ -249,10 +252,24 @@ def run_campaign(exp: ExperimentConfig, train_set, val_set, width: int, jobs: in
     if jobs <= 1 or len(todo) == 1:
         records = [run_single(exp, train_set, val_set, v, r, width) for v, r in todo]
     else:
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(jobs, initializer=_pool_init,
-                      initargs=(exp, train_set, val_set, width)) as pool:
-            records = pool.map(_pool_run, todo)
+        # Workers run one BLAS thread: their small-batch runs gain nothing
+        # from more, and the pool already uses the cores.  Spawned workers
+        # read the variables when they import NumPy; the caller's NumPy is
+        # loaded, so its thread count stays.  They stay set for the pool's
+        # whole life, so that a replacement worker gets them too.
+        saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+        try:
+            ctx = multiprocessing.get_context("spawn")
+            with ctx.Pool(jobs, initializer=_pool_init,
+                          initargs=(exp, train_set, val_set, width)) as pool:
+                records = pool.map(_pool_run, todo)
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    os.environ.pop(var, None)
+                else:
+                    os.environ[var] = value
     records.sort(key=lambda r: (list(exp.variants).index(r.variant), r.replicate))
     return records
 

@@ -288,14 +288,10 @@ def rk4_step(state: OscillatorState, h: float, mu: float) -> OscillatorState:
     if h <= 0:
         raise ValueError("step size must be positive")
     x, v = state.x, state.v
-
-    def f(xc, vc):
-        return vc, mu * (1.0 - xc * xc) * vc - xc
-
-    k1x, k1v = f(x, v)
-    k2x, k2v = f(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-    k3x, k3v = f(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-    k4x, k4v = f(x + h * k3x, v + h * k3v)
+    k1x, k1v = vdp_derivative(state, mu)
+    k2x, k2v = vdp_derivative(OscillatorState(x + 0.5 * h * k1x, v + 0.5 * h * k1v), mu)
+    k3x, k3v = vdp_derivative(OscillatorState(x + 0.5 * h * k2x, v + 0.5 * h * k2v), mu)
+    k4x, k4v = vdp_derivative(OscillatorState(x + h * k3x, v + h * k3v), mu)
     return OscillatorState(
         x=x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
         v=v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
@@ -324,9 +320,7 @@ def build_vdp_forecast_dataset(x0: float = 0.5, v0: float = 0.0, mu: float = 2.7
     states = np.empty((n_samples + 1, 2))
     states[0] = (state.x, state.v)
     for i in range(n_samples):
-        state = rk4_step(state, h, mu)
-        if abs(state.x) > 1e6:
-            raise TrajectoryDiverged(f"|x| = {abs(state.x):.3g} at t = {state.t:.3g}")
+        state = integrate(state, h, 1, mu)
         states[i + 1] = (state.x, state.v)
 
     x_raw, y_raw = states[:-1], states[1:]

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, file inventories, determinism."""
 
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import ldnn.metalearn as ml
 from ldnn import cli, nn, tasks
+from ldnn import diagnostics as dg
 
 
 def write_config(tmp_path, name="exp.json", **overrides):
@@ -155,6 +157,84 @@ class TestCampaign:
         assert cli.main(["campaign", config, "--jobs", "2", "--out", str(pooled)]) == 0
         assert slurp_tree(serial) == slurp_tree(pooled)
 
+    def test_hessian_pool_matches_serial(self, tmp_path):
+        # Above BLAS's threading thresholds: the serial runs use the caller's
+        # thread count, the pooled ones one thread each.
+        config = write_config(
+            tmp_path, n_seeds=1, hidden_width=20,
+            activation_types=[{"kind": "subnet", "base": "sine", "hidden_width": 50}] * 2,
+            variants={"mix": [0, 1], "type1": [0]},
+            data={"m_train": 1000, "m_val": 100, "seed": 7},
+            schedule={"inner_lr": 0.01, "outer_lr": 0.001, "outer_period": 5,
+                      "batch_size": 100, "epochs": 1, "optimizer": "adam"},
+            diagnostics={"hessian": True, "hutchinson_probes": 8, "lanczos_k": 8,
+                         "hessian_examples": 1000})
+        serial, pooled = tmp_path / "ser", tmp_path / "par"
+        assert cli.main(["campaign", config, "--jobs", "1", "--out", str(serial)]) == 0
+        assert cli.main(["campaign", config, "--jobs", "2", "--out", str(pooled)]) == 0
+        assert slurp_tree(serial) == slurp_tree(pooled)
+
+
+class TestWorkerThreads:
+    """The campaign pool runs its workers at one BLAS thread."""
+
+    def spy_pool(self, monkeypatch, seen, fail=False):
+        spawn = multiprocessing.get_context("spawn")
+
+        def read_env():
+            return {var: os.environ.get(var) for var in cli.BLAS_THREAD_VARS}
+
+        class Spy:
+            def Pool(self, *args, **kwargs):
+                pool = spawn.Pool(*args, **kwargs)
+                seen["parent"] = read_env()
+                seen["worker"] = {var: pool.apply(os.getenv, (var,))
+                                  for var in cli.BLAS_THREAD_VARS}
+                pool_map = pool.map
+
+                def map_(*a, **kw):
+                    seen["map"] = read_env()
+                    if fail:
+                        raise RuntimeError("inside the pool block")
+                    return pool_map(*a, **kw)
+
+                pool.map = map_
+                return pool
+
+        monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: Spy())
+
+    def campaign(self, tmp_path):
+        exp = cli.parse_experiment_config(write_config(tmp_path))
+        train, val = cli.build_datasets(exp)
+        return lambda: cli.run_campaign(exp, train, val, exp.hidden_width, jobs=2)
+
+    def test_pinned_inside_restored_after(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        run = self.campaign(tmp_path)
+        before = dict(os.environ)
+        seen = {}
+        self.spy_pool(monkeypatch, seen)
+        records = run()
+        ones = dict.fromkeys(cli.BLAS_THREAD_VARS, "1")
+        assert seen == {"parent": ones, "worker": ones, "map": ones}
+        assert dict(os.environ) == before
+        assert [r.status for r in records] == ["ok"] * 4
+
+    def test_restored_after_exception(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "4")
+        run = self.campaign(tmp_path)
+        before = dict(os.environ)
+        seen = {}
+        self.spy_pool(monkeypatch, seen, fail=True)
+        with pytest.raises(RuntimeError, match="inside the pool block"):
+            run()
+        assert seen["map"] == dict.fromkeys(cli.BLAS_THREAD_VARS, "1")
+        assert dict(os.environ) == before
+
 
 class TestSizeSweep:
     def test_per_size_tables(self, tmp_path):
@@ -281,6 +361,28 @@ class TestExportAndReuse:
         obj = json.loads(report.read_text())
         assert obj["hessian_params"] == obj["theta_params"] + obj["theta_a_params"]
         assert np.isfinite(obj["hessian_trace"]) and 0.0 <= obj["f_near_zero"] <= 1.0
+
+    def test_hessian_pass_linearizes_once(self, tmp_path, monkeypatch):
+        exp = cli.parse_experiment_config(write_config(tmp_path))
+        train, _ = cli.build_datasets(exp)
+        config = cli.network_config(exp, exp.variants["mix"], exp.hidden_width, train)
+        params = nn.init_network(config, seed=3)
+        tensors = params.all_tensors()
+
+        def lossfn():
+            return ml.batch_loss(params, config, train.inputs[:40], train.targets[:40])
+
+        lan = dg.spectrum_lanczos(lossfn, tensors, k=6, seed=11)
+        est = dg.hessian_trace_hutchinson(lossfn, tensors, n_probes=4, seed=12, deflate=lan)
+        built = []
+        operator = cli.ad.hvp_operator
+        monkeypatch.setattr(cli.ad, "hvp_operator", lambda *a: built.append(1) or operator(*a))
+        est1, lan1, _ = cli.hessian_diagnostics(params, config, train, 4, 6, 40,
+                                                trace_seed=12, lanczos_seed=11)
+        assert len(built) == 1
+        assert (est1.value, est1.stderr, lan1.f_near_zero) == (est.value, est.stderr,
+                                                               lan.f_near_zero)
+        assert np.array_equal(lan1.basis, lan.basis)
 
 
 class TestSeedDerivation:
