@@ -241,8 +241,8 @@ def add(a, b) -> Tensor:
 
 
 # Builtin scalar functions: name -> (value, first, second derivative), each
-# a function of the input.  The unary ops, the fused activation and
-# ``nn.BUILTINS`` all read them here.
+# a function of the input.  The fused activation and ``nn.BUILTINS`` read
+# them here.
 
 def _sigmoid_slope(x):
     y = sigmoid_values(x)
@@ -269,81 +269,20 @@ UNARY = {
 }
 
 
-def _unary(op: str, x, forward, deriv, second=None) -> Tensor:
-    """Elementwise op; ``second`` is None where the second derivative is 0."""
+def square(x) -> Tensor:
     x = as_tensor(x)
     xd = x.data
 
     def vjp(g):
-        return (g * deriv(xd),)
+        return (g * (2.0 * xd),)
 
     def jvp(ts):
-        return ts[0] * deriv(xd)
+        return ts[0] * (2.0 * xd)
 
     def vjp2(g, ts):
-        return (g * second(xd) * ts[0],)
+        return (g * 2.0 * ts[0],)
 
-    return _make(op, forward(xd), (x,), vjp, jvp, None if second is None else vjp2)
-
-
-def _builtin(name: str, x) -> Tensor:
-    return _unary(name, x, *UNARY[name])
-
-
-def tanh(x) -> Tensor:
-    return _builtin("tanh", x)
-
-
-def sigmoid(x) -> Tensor:
-    return _builtin("sigmoid", x)
-
-
-def relu(x) -> Tensor:
-    return _builtin("relu", x)
-
-
-def sine(x) -> Tensor:
-    return _builtin("sine", x)
-
-
-def identity(x) -> Tensor:
-    return _builtin("identity", x)
-
-
-def zero(x) -> Tensor:
-    return _builtin("zero", x)
-
-
-def square(x) -> Tensor:
-    return _unary("square", x, np.square, lambda xd: 2.0 * xd, lambda xd: 2.0)
-
-
-def scale(x, c: float) -> Tensor:
-    c = float(c)
-    return _unary("scale", x, lambda v: c * v, lambda xd: c)
-
-
-def interp(x, grid, values) -> Tensor:
-    """Tabulated activation: piecewise-linear in ``x`` over a fixed grid."""
-    grid = np.asarray(grid, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    return _unary("interp", x,
-                  lambda v: interp_values(v, grid, values),
-                  lambda xd: interp_slopes(xd, grid, values))
-
-
-def reshape(x, shape) -> Tensor:
-    x = as_tensor(x)
-    xd = x.data
-    shape = tuple(int(s) for s in shape)
-
-    def vjp(g):
-        return (g.reshape(xd.shape),)
-
-    def jvp(ts):
-        return ts[0].reshape(shape)
-
-    return _make("reshape", xd.reshape(shape), (x,), vjp, jvp)
+    return _make("square", np.square(xd), (x,), vjp, jvp, vjp2)
 
 
 def activation_values(spec, x: np.ndarray, subnet=None):
@@ -622,35 +561,6 @@ def mse(pred, target) -> Tensor:
         return d, -d
 
     return _make("mean-squared-error", np.asarray((diff * diff).mean()), (p, t), vjp, jvp, vjp2)
-
-
-_OPS = {
-    "matmul": matmul,
-    "add": add,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "relu": relu,
-    "sine": sine,
-    "identity": identity,
-    "zero": zero,
-    "square": square,
-    "scale": scale,
-    "interp": interp,
-    "reshape": reshape,
-    "activation": activation,
-    "reduce-mean": reduce_mean,
-    "softmax-cross-entropy": softmax_cross_entropy,
-    "mean-squared-error": mse,
-}
-
-
-def record(op: str, *inputs, **attrs) -> Tensor:
-    """Apply an op-kind by name; the uniform entry point over all operations."""
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown op kind: {op!r}") from None
-    return fn(*inputs, **attrs)
 
 
 # ---------------------------------------------------------------------------

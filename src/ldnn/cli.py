@@ -109,6 +109,15 @@ def parse_experiment_config(path) -> ExperimentConfig:
     widths = exp.sizes if exp.sizes else [exp.hidden_width]
     if any(w < 1 for w in widths):
         raise ConfigError("hidden widths must be positive")
+    unknown = sorted(set(exp.diagnostics) - set(DIAG_DEFAULTS))
+    if unknown:
+        raise ConfigError(f"unknown diagnostics keys: {unknown}")
+    for key, least in (("hutchinson_probes", 2), ("lanczos_k", 1), ("hessian_examples", 1)):
+        value = exp.diagnostics[key]
+        if not isinstance(value, int) or value < least:
+            raise ConfigError(f"diagnostics.{key} must be an integer >= {least}, got {value!r}")
+    if exp.hist_bins < 1:
+        raise ConfigError("hist_bins must be >= 1")
     try:
         TrainSchedule(**exp.schedule)
     except (TypeError, ValueError) as exc:

@@ -41,10 +41,6 @@ class CovarianceSummary:
     ratio: float
     normalized: float
 
-    @property
-    def n_neurons(self) -> int:
-        return self.eigenvalues.size
-
 
 def participation_ratio(activity: np.ndarray) -> CovarianceSummary:
     """Center each neuron's activity over inputs, form C = X X^T / M, and
@@ -307,7 +303,7 @@ def _stats_for(values, fingerprint, variant) -> GroupStats:
     )
 
 
-def aggregate_runs(records, value=lambda r: r.metric) -> dict:
+def aggregate_runs(records) -> dict:
     """Group successful records by fingerprint; per group report count, mean,
     median, quartiles, extent, and 1.5*IQR outliers."""
     groups = {}
@@ -317,7 +313,7 @@ def aggregate_runs(records, value=lambda r: r.metric) -> dict:
         groups.setdefault(rec.fingerprint, []).append(rec)
     out = {}
     for fp, recs in groups.items():
-        out[fp] = _stats_for([value(r) for r in recs], fp, recs[0].variant)
+        out[fp] = _stats_for([r.metric for r in recs], fp, recs[0].variant)
     return out
 
 
@@ -329,8 +325,8 @@ class Hist2D:
     density: np.ndarray
 
 
-def histogram_2d(records, bins: int = 20, a_range=None, r_range=(0.0, 1.0)) -> Hist2D:
-    """Joint density over (metric, normalized participation ratio)."""
+def histogram_2d(records, bins: int = 20, a_range=None) -> Hist2D:
+    """Joint density over (metric, normalized participation ratio on [0, 1])."""
     ok = [r for r in records if r.status == "ok" and np.isfinite(r.normalized_ratio)]
     if not ok:
         raise ValueError("no records with participation ratios to bin")
@@ -339,7 +335,7 @@ def histogram_2d(records, bins: int = 20, a_range=None, r_range=(0.0, 1.0)) -> H
     if a_range is None:
         a_range = (float(a_vals.min()), float(max(a_vals.max(), a_vals.min() + 1e-12)))
     counts, a_edges, r_edges = np.histogram2d(
-        a_vals, r_vals, bins=bins, range=[list(a_range), list(r_range)])
+        a_vals, r_vals, bins=bins, range=[list(a_range), [0.0, 1.0]])
     area = np.outer(np.diff(a_edges), np.diff(r_edges))
     total = counts.sum()
     density = counts / (total * area) if total > 0 else counts

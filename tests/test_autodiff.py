@@ -31,23 +31,36 @@ def rel_err(a, n):
     return np.abs(a - n).max(initial=0.0) / denom
 
 
+def act(t, spec):
+    """The matrix ``t`` through one activation spec, as one fused layer."""
+    return ad.activation(t, [(slice(None), spec, None)])
+
+
+def sum_sq(t):
+    """sum(t^2) of a matrix on the tape: ones' square(t) ones."""
+    rows = ad.matmul(np.ones(t.shape[0]), ad.square(t))
+    return ad.matmul(rows, np.ones(t.shape[1]))
+
+
 class TestRecordExamples:
+    """Forward values of single ops, and the shape checks each op makes."""
+
     def test_square(self):
-        out = ad.record("square", Tensor([3.0]))
+        out = ad.square(Tensor([3.0]))
         np.testing.assert_allclose(out.data, [9.0])
 
     def test_matmul_identity(self):
-        out = ad.record("matmul", Tensor(np.eye(2)), Tensor([1.0, 2.0]))
+        out = ad.matmul(Tensor(np.eye(2)), Tensor([1.0, 2.0]))
         np.testing.assert_allclose(out.data, [1.0, 2.0])
 
     def test_uniform_softmax_cross_entropy(self):
-        out = ad.record("softmax-cross-entropy", Tensor(np.zeros((1, 10))), np.array([3]))
+        out = ad.softmax_cross_entropy(Tensor(np.zeros((1, 10))), np.array([3]))
         assert out.data.ndim == 0
         np.testing.assert_allclose(float(out.data), math.log(10.0), rtol=1e-12)
 
     def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError, match="unknown op"):
-            ad.record("convolve", Tensor([1.0]))
+        with pytest.raises(ValueError, match="unknown activation kind"):
+            act(Tensor(np.ones((1, 1))), ActivationSpec(kind="convolve"))
 
     def test_shape_mismatch_names_op_and_shapes(self):
         with pytest.raises(ShapeError, match=r"matmul.*\(2, 3\).*\(2, 3\)"):
@@ -110,8 +123,6 @@ class TestBackwardExamples:
 class TestGradientOracle:
     """Analytic gradients vs central finite differences on random inputs."""
 
-    UNARY = ["tanh", "sigmoid", "sine", "identity", "zero", "square"]
-
     def _check(self, op, x, make_loss, tol=1e-5, **attrs):
         xt = Tensor(x, requires_grad=True)
         analytic = ad.backward(make_loss(xt))[xt]
@@ -123,26 +134,21 @@ class TestGradientOracle:
         numeric = numeric_grad(f, x)
         assert rel_err(analytic, numeric) < tol, f"{op}: gradient mismatch"
 
-    @pytest.mark.parametrize("op", UNARY)
+    @pytest.mark.parametrize("op", ["tanh", "sigmoid", "sine", "identity", "zero", "square"])
     def test_unary_gradcheck(self, op):
+        """``square`` is an op; each builtin goes through the fused layer."""
         rng = np.random.default_rng(7)
         for _ in range(10):
             x = rng.uniform(-2, 2, size=(3, 4))
-            self._check(op, x, lambda t: ad.scale(
-                ad.reduce_mean(ad.square(ad.record(op, t))), float(x.size)))
+            self._check(op, x, lambda t: sum_sq(
+                ad.square(t) if op == "square" else act(t, ActivationSpec.builtin(op))))
 
     def test_relu_gradcheck_away_from_kink(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             x = rng.uniform(-2, 2, size=(3, 4))
             x[np.abs(x) < 1e-3] += 0.1  # finite differences straddle the kink otherwise
-            self._check("relu", x, lambda t: ad.scale(
-                ad.reduce_mean(ad.square(ad.relu(t))), float(x.size)))
-
-    def test_scale_gradcheck(self):
-        rng = np.random.default_rng(9)
-        x = rng.uniform(-2, 2, size=(4,))
-        self._check("scale", x, lambda t: ad.reduce_mean(ad.square(ad.scale(t, -1.7))))
+            self._check("relu", x, lambda t: sum_sq(act(t, ActivationSpec.builtin("relu"))))
 
     def test_interp_gradcheck_between_knots(self):
         grid = np.linspace(-2, 2, 9)
@@ -151,33 +157,31 @@ class TestGradientOracle:
         x = rng.uniform(-1.9, 1.9, size=(3, 3))
         # keep probes a safe distance from knots and the clamp boundary
         x[np.abs((x + 2) % 0.5) < 1e-3] += 0.01
-        self._check("interp", x, lambda t: ad.scale(
-            ad.reduce_mean(ad.square(ad.interp(t, grid, values))), float(x.size)))
+        spec = ActivationSpec.tabulated(grid, values)
+        self._check("interp", x, lambda t: sum_sq(act(t, spec)))
 
     def test_interp_clamps_outside_grid(self):
-        grid = np.array([-1.0, 1.0])
-        values = np.array([-1.0, 1.0])
-        y = ad.interp(Tensor([[-5.0, 0.0, 5.0]]), grid, values)
+        spec = ActivationSpec.tabulated([-1.0, 1.0], [-1.0, 1.0])
+        y = act(Tensor([[-5.0, 0.0, 5.0]]), spec)
         np.testing.assert_allclose(y.data, [[-1.0, 0.0, 1.0]])
-        xt = Tensor([[-5.0]], requires_grad=True)
-        grads = ad.backward(ad.reduce_mean(ad.interp(xt, grid, values)))
-        np.testing.assert_array_equal(grads[xt], [[0.0]])
+        xt = Tensor([[-5.0, 5.0]], requires_grad=True)
+        grads = ad.backward(ad.reduce_mean(act(xt, spec)))
+        np.testing.assert_array_equal(grads[xt], [[0.0, 0.0]])
 
     def test_matmul_gradcheck_both_sides(self):
         rng = np.random.default_rng(11)
         a = rng.uniform(-2, 2, size=(3, 4))
         b = rng.uniform(-2, 2, size=(4, 2))
         at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-        loss = ad.scale(ad.reduce_mean(ad.square(ad.matmul(at, bt))), 6.0)
-        grads = ad.backward(loss)
+        grads = ad.backward(sum_sq(ad.matmul(at, bt)))
 
         def f_a(arr):
             with ad.no_grad():
-                return float(ad.scale(ad.reduce_mean(ad.square(ad.matmul(Tensor(arr), Tensor(b)))), 6.0).data)
+                return float(sum_sq(ad.matmul(Tensor(arr), Tensor(b))).data)
 
         def f_b(arr):
             with ad.no_grad():
-                return float(ad.scale(ad.reduce_mean(ad.square(ad.matmul(Tensor(a), Tensor(arr)))), 6.0).data)
+                return float(sum_sq(ad.matmul(Tensor(a), Tensor(arr))).data)
 
         assert rel_err(grads[at], numeric_grad(f_a, a)) < 1e-5
         assert rel_err(grads[bt], numeric_grad(f_b, b)) < 1e-5
@@ -187,11 +191,11 @@ class TestGradientOracle:
         a = rng.uniform(-2, 2, size=(5, 3))
         b = rng.uniform(-2, 2, size=(3,))
         bt = Tensor(b, requires_grad=True)
-        grads = ad.backward(ad.scale(ad.reduce_mean(ad.square(ad.add(Tensor(a), bt))), 15.0))
+        grads = ad.backward(sum_sq(ad.add(Tensor(a), bt)))
 
         def f(arr):
             with ad.no_grad():
-                return float(ad.scale(ad.reduce_mean(ad.square(ad.add(Tensor(a), Tensor(arr)))), 15.0).data)
+                return float(sum_sq(ad.add(Tensor(a), Tensor(arr))).data)
 
         assert rel_err(grads[bt], numeric_grad(f, b)) < 1e-5
 
@@ -231,8 +235,7 @@ class TestGradientOracle:
             zt, *sub = [Tensor(p, requires_grad=grad) for p in parts]
             groups = [(sub_cols, ActivationSpec.subnet("tanh", 3), nn.SubnetParams(*sub)),
                       (sine_cols, ActivationSpec.builtin("sine"), None)]
-            y = ad.activation(zt, groups)
-            return ad.scale(ad.reduce_mean(ad.square(y)), float(y.size)), [zt] + sub
+            return sum_sq(ad.activation(zt, groups)), [zt] + sub
 
         loss, tensors = loss_from(arrays, grad=True)
         grads = ad.backward(loss)
@@ -258,7 +261,7 @@ class TestGradientOracle:
             wt = Tensor(w1a, requires_grad=grad)
             bt = Tensor(b1a, requires_grad=grad)
             vt = Tensor(w2a, requires_grad=grad)
-            h = ad.tanh(ad.add(ad.matmul(Tensor(x), wt), bt))
+            h = act(ad.add(ad.matmul(Tensor(x), wt), bt), ActivationSpec.builtin("tanh"))
             return ad.mse(ad.matmul(h, vt), Tensor(target)), (wt, bt, vt)
 
         loss, (wt, bt, vt) = loss_from(w1, b1, w2, grad=True)
@@ -282,7 +285,7 @@ class TestBackwardProperties:
             return ad.reduce_mean(ad.square(x))
 
         def loss_b():
-            return ad.reduce_mean(ad.sine(x))
+            return ad.reduce_mean(act(x, ActivationSpec.builtin("sine")))
 
         ga = ad.backward(loss_a())[x]
         gb = ad.backward(loss_b())[x]
@@ -295,7 +298,7 @@ class TestBackwardProperties:
         w = Tensor(rng.uniform(-1, 1, size=(4, 2)), requires_grad=True)
 
         def run():
-            loss = ad.reduce_mean(ad.square(ad.tanh(ad.matmul(x, w))))
+            loss = ad.reduce_mean(ad.square(act(ad.matmul(x, w), ActivationSpec.builtin("tanh"))))
             g = ad.backward(loss)
             return float(loss.data), g[w].copy()
 
@@ -306,9 +309,11 @@ class TestBackwardProperties:
 
     def test_outputs_finite_on_extreme_inputs(self):
         big = Tensor(np.array([[1e4, -1e4, 0.0]]))
-        for op in ["tanh", "sigmoid", "relu", "sine", "zero"]:
-            out = ad.record(op, big)
-            assert np.all(np.isfinite(out.data)), op
+        grid = np.linspace(-3, 3, 7)
+        specs = [ActivationSpec.builtin(name) for name in ad.UNARY]
+        for spec in specs + [ActivationSpec.tabulated(grid, np.tanh(grid))]:
+            out = act(big, spec)
+            assert np.all(np.isfinite(out.data)), spec
         ce = ad.softmax_cross_entropy(big, np.array([0]))
         assert np.isfinite(float(ce.data))
 
@@ -369,10 +374,7 @@ class TestHessianVectorProduct:
     def quadratic_loss(params, a_mat):
         """0.5 * x^T A x built on the tape from a parameter vector x."""
         (x,) = params
-        row = ad.reshape(x, (1, x.data.size))
-        col = ad.reshape(x, (x.data.size, 1))
-        q = ad.matmul(ad.matmul(row, Tensor(a_mat)), col)
-        return ad.scale(ad.reduce_mean(q), 0.5)
+        return ad.matmul(ad.matmul(x, Tensor(0.5 * np.asarray(a_mat))), x)
 
     def test_diagonal_quadratic(self):
         a = np.diag([2.0, 4.0])
@@ -503,7 +505,7 @@ class TestHessianVectorProduct:
         params = [w1, b1, w2, b2]
 
         def lossfn():
-            h = ad.tanh(ad.add(ad.matmul(Tensor(x), w1), b1))
+            h = act(ad.add(ad.matmul(Tensor(x), w1), b1), ActivationSpec.builtin("tanh"))
             return ad.mse(ad.add(ad.matmul(h, w2), b2), Tensor(y))
 
         return lossfn, params

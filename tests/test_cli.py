@@ -175,6 +175,27 @@ class TestCampaign:
         assert slurp_tree(serial) == slurp_tree(pooled)
 
 
+class TestDiagnosticsConfig:
+    """A bad ``diagnostics`` block or ``hist_bins`` fails when the config is
+    parsed, before any run trains."""
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"diagnostics": {"hessian": True, "hesian_examples": 20}}, "hesian_examples"),
+        ({"diagnostics": {"hessian": True, "hutchinson_probes": 1}}, "hutchinson_probes"),
+        ({"diagnostics": {"hessian": True, "lanczos_k": 0}}, "lanczos_k"),
+        ({"diagnostics": {"hessian": True, "hessian_examples": 0}}, "hessian_examples"),
+        ({"diagnostics": {"hessian": True, "lanczos_k": 4.5}}, "lanczos_k"),
+        ({"hist_bins": 0}, "hist_bins"),
+    ], ids=["unknown-key", "probes", "lanczos-k", "examples", "non-integer", "hist-bins"])
+    def test_rejected_before_training(self, tmp_path, capsys, monkeypatch, overrides, message):
+        trained = []
+        monkeypatch.setattr(ml, "train", lambda *a, **k: trained.append(1))
+        config = write_config(tmp_path, **overrides)
+        assert cli.main(["campaign", config, "--jobs", "1", "--out", str(tmp_path / "c")]) == 2
+        assert message in capsys.readouterr().err
+        assert not trained
+
+
 class TestWorkerThreads:
     """The campaign pool runs its workers at one BLAS thread."""
 

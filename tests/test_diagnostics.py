@@ -110,10 +110,7 @@ class QuadraticLoss:
         self.x = Tensor(np.zeros(n) if x0 is None else x0, requires_grad=True)
 
     def __call__(self):
-        n = self.a.shape[0]
-        row = ad.reshape(self.x, (1, n))
-        col = ad.reshape(self.x, (n, 1))
-        return ad.scale(ad.reduce_mean(ad.matmul(ad.matmul(row, Tensor(self.a)), col)), 0.5)
+        return ad.matmul(ad.matmul(self.x, Tensor(0.5 * self.a)), self.x)
 
     @property
     def params(self):

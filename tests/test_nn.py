@@ -179,6 +179,18 @@ class TestForward:
         assert np.abs(grads[params.subnets[0].w2]).max() > 0
 
 
+def elementwise(x, value, slope):
+    """value(x) elementwise as one tape op, with its backward rule only."""
+    xd = x.data
+    return ad._make("elementwise", value(xd), (x,), lambda g: (g * slope(xd),), None)
+
+
+def reshape(x, shape):
+    """x reshaped as one tape op, with its backward rule only."""
+    xd = x.data
+    return ad._make("reshape", xd.reshape(shape), (x,), lambda g: (g.reshape(xd.shape),), None)
+
+
 def reference_layer(z, layer, config, params):
     """A hidden layer's activations from elementary tape ops: 0/1 selection
     matrices gather each type's columns and scatter them back, and a subnet
@@ -193,16 +205,18 @@ def reference_layer(z, layer, config, params):
         zc = ad.matmul(z, Tensor(sel))
         spec = config.activations[t]
         if spec.kind == "builtin":
-            y = ad.record(spec.name, zc)
+            y = elementwise(zc, *ad.UNARY[spec.name][:2])
         elif spec.kind == "tabulated":
-            y = ad.interp(zc, spec.grid, spec.values)
+            y = elementwise(zc, lambda v: ad.interp_values(v, spec.grid, spec.values),
+                            lambda v: ad.interp_slopes(v, spec.grid, spec.values))
         else:
             sp = params.subnets[t]
             h = sp.hidden_width
-            flat = ad.reshape(zc, (m * cols.size, 1))
-            hid = ad.tanh(ad.add(ad.matmul(flat, ad.reshape(sp.w1, (1, h))), sp.b1))
-            res = ad.add(ad.matmul(hid, ad.reshape(sp.w2, (h, 1))), sp.b2)
-            y = ad.reshape(ad.add(ad.record(spec.name, flat), res), zc.shape)
+            flat = reshape(zc, (m * cols.size, 1))
+            hid = elementwise(ad.add(ad.matmul(flat, reshape(sp.w1, (1, h))), sp.b1),
+                              *ad.UNARY["tanh"][:2])
+            res = ad.add(ad.matmul(hid, reshape(sp.w2, (h, 1))), sp.b2)
+            y = reshape(ad.add(elementwise(flat, *ad.UNARY[spec.name][:2]), res), zc.shape)
         part = ad.matmul(y, Tensor(sel.T))
         acc = part if acc is None else ad.add(acc, part)
     return acc
