@@ -103,8 +103,8 @@ class TapeNode:
 class GradientMap:
     """Per-parameter gradients keyed by tensor identity.
 
-    Parameters that never reached the tape read as zero gradients rather
-    than raising.
+    Parameters that never reached the tape, or that ``backward`` was not
+    asked for, read as zero gradients rather than raising.
     """
 
     def __init__(self, grads: dict):
@@ -303,8 +303,11 @@ def activation_values(spec, x: np.ndarray, subnet=None):
     if spec.kind == "subnet":
         if subnet is None:
             raise ValueError("subnet activation needs its parameter block")
-        hid = np.multiply.outer(x.ravel(), subnet.w1.data)
-        hid += subnet.b1.data
+        # One product [x, 1] @ [w1; b1] forms the pre-activation; tanh runs
+        # in place, so the hidden layer is one C-contiguous array.
+        xa = np.empty((x.size, 2))
+        xa[:, 0], xa[:, 1] = x.ravel(), 1.0
+        hid = xa @ np.stack([subnet.w1.data, subnet.b1.data])
         np.tanh(hid, out=hid)
         res = hid @ subnet.w2.data
         res += subnet.b2.data
@@ -329,6 +332,13 @@ def _tanh_slope(hid_rows, overwrite: bool):
     return np.subtract(1.0, s, out=s)
 
 
+def _slope(spec, x):
+    """The first derivative of a builtin or tabulated spec at ``x``."""
+    if spec.kind == "tabulated":
+        return interp_slopes(x, spec.grid, spec.values)
+    return UNARY[spec.name][1](x)
+
+
 def _tangents(ts, params):
     """Each tangent of ``ts``, or zeros shaped like its parameter array."""
     return [np.zeros_like(p) if t is None else t for t, p in zip(ts, params)]
@@ -340,11 +350,15 @@ def activation(z, groups) -> Tensor:
 
     ``groups`` is a sequence of ``(cols, spec, subnet)``, one per activation
     type, whose ``cols`` (an index array or slice) partition the columns of
-    ``z``; ``spec`` and ``subnet`` are as in ``activation_values``.  The
-    backward rule is written out: with hid = tanh(w1 z + b1) and
+    ``z``; ``spec`` and ``subnet`` are as in ``activation_values``.  A
+    subnet group's hidden layer hid = tanh([z, 1] @ [w1; b1]) comes from one
+    (rows x 2) by (2 x h) product.  The backward rule is written out: with
     s = 1 - hid**2 per subnet group,
     dz = g (base'(z) + s (w1 w2)), dw2 = g'hid, db1 = w2 (g's),
-    dw1 = w2 ((g z)'s) and db2 = sum(g).
+    dw1 = w2 ((g z)'s) and db2 = sum(g).  It takes the node's ``needs``
+    mask: without z, it skips the dz pass (base'(z) and s (w1 w2)); without
+    a group's sub-network parents, it skips g'hid and the stacked product
+    for db1 and dw1.
 
     The tangent and second-order rules differentiate these along tangents
     (Rz, Rw1, Rb1, Rw2, Rb2), with R(a) = Rw1 z + w1 Rz + Rb1 for the
@@ -389,18 +403,21 @@ def activation(z, groups) -> Tensor:
                 k += 4
             yield cols, zd[:, cols], rx, spec, sub, rsub
 
-    def vjp(g, overwrite=True):
+    def vjp(g, needs, overwrite=True):
         # ``backward`` is a tape's last use, so s may overwrite hid there.
-        gz = np.empty_like(zd)
+        # A parent that ``needs`` leaves out gets None, and the passes that
+        # serve only such parents are skipped.
+        gz = np.empty_like(zd) if needs[0] else None
         grads = [gz]
         for cols, x, _, spec, sub, _ in per_group():
             gc = g[:, cols]
-            if spec.kind == "tabulated":
-                gz[:, cols] = gc * interp_slopes(x, spec.grid, spec.values)
-                continue
-            slope = UNARY[spec.name][1](x)
             if sub is None:
-                gz[:, cols] = gc * slope
+                if gz is not None:
+                    gz[:, cols] = gc * _slope(spec, x)
+                continue
+            want_sub = any(needs[len(grads):len(grads) + 4])
+            grads += [None] * 4
+            if gz is None and not want_sub:
                 continue
             hid, _, w2, w1w2 = sub
             gf, xf = gc.ravel(), x.ravel()
@@ -408,22 +425,24 @@ def activation(z, groups) -> Tensor:
             gw2 = gs = gzs = 0.0
             for rows in _row_blocks(len(hid), overwrite):
                 h, gr = hid[rows], gf[rows]
-                gw2 = gw2 + gr @ h
+                if want_sub:
+                    gw2 = gw2 + gr @ h
                 s = _tanh_slope(h, overwrite)
-                block_gs, block_gzs = np.stack([gr, gr * xf[rows]]) @ s
-                gs, gzs = gs + block_gs, gzs + block_gzs
-                dzs[rows] = s @ w1w2
-            gz[:, cols] = gc * (slope + dzs.reshape(x.shape))
-            grads += [w2 * gzs, w2 * gs, gw2, np.asarray(gf.sum())]
+                if want_sub:
+                    block_gs, block_gzs = np.stack([gr, gr * xf[rows]]) @ s
+                    gs, gzs = gs + block_gs, gzs + block_gzs
+                if gz is not None:
+                    dzs[rows] = s @ w1w2
+            if gz is not None:
+                gz[:, cols] = gc * (_slope(spec, x) + dzs.reshape(x.shape))
+            if want_sub:
+                grads[-4:] = [w2 * gzs, w2 * gs, gw2, np.asarray(gf.sum())]
         return tuple(grads)
 
     def jvp(ts):
         ry = np.empty_like(zd)
         for cols, x, rx, spec, sub, rsub in per_group(ts):
-            if spec.kind == "tabulated":
-                ry[:, cols] = rx * interp_slopes(x, spec.grid, spec.values)
-                continue
-            base = rx * UNARY[spec.name][1](x)
+            base = rx * _slope(spec, x)
             if sub is None:
                 ry[:, cols] = base
                 continue
@@ -614,8 +633,39 @@ def _adjoints(loss: Tensor, nodes, vjp) -> dict:
     return adjoint
 
 
-def backward(loss: Tensor) -> GradientMap:
-    """Accumulate d(loss)/d(leaf) for every parameter on the tape.
+def _restrict(nodes, wrt) -> list:
+    """The nodes of ``nodes`` (in creation order) that lead to a tensor of
+    ``wrt``, each with its ``needs`` narrowed to the parents that are in
+    ``wrt`` or lead to it."""
+    reach = {id(t) for t in wrt}
+    kept = []
+    for node in nodes:
+        node.needs = tuple(n and id(p) in reach for p, n in zip(node.parents, node.needs))
+        if any(node.needs):
+            reach.add(id(node.out))
+            kept.append(node)
+    return kept
+
+
+def _vjp(node: TapeNode, g, overwrite=True):
+    """The node's VJP.  The fused activation's rule computes only the
+    adjoints its ``needs`` marks and, with ``overwrite``, writes s over its
+    saved hidden layer."""
+    if node.op == "activation":
+        return node.vjp(g, node.needs, overwrite)
+    return node.vjp(g)
+
+
+def _keep_vjp(node: TapeNode, g):
+    """The node's VJP, leaving the tape as it found it."""
+    return _vjp(node, g, overwrite=False)
+
+
+def backward(loss: Tensor, wrt=None) -> GradientMap:
+    """Accumulate d(loss)/d(leaf) for every parameter on the tape, or with
+    ``wrt`` for the parameters in ``wrt`` only.  Then a node runs only if
+    it leads to a tensor of ``wrt``, and computes only the adjoints on
+    such paths.
 
     The loss must be scalar.  The tape is cleared afterwards, so replaying
     requires a fresh forward pass.
@@ -624,15 +674,11 @@ def backward(loss: Tensor) -> GradientMap:
     if loss.node is None:
         return GradientMap({})
     nodes = _detach_tape(loss)
-    adjoint = _adjoints(loss, nodes, lambda node, g: node.vjp(g))
+    if wrt is not None:
+        nodes = _restrict(nodes, wrt)
+    adjoint = _adjoints(loss, nodes, _vjp)
     leaves = [p for node in nodes for p in node.parents if p.requires_grad]
     return GradientMap({t: np.asarray(adjoint[id(t)]) for t in leaves if id(t) in adjoint})
-
-
-def _keep_vjp(node: TapeNode, g):
-    """The node's VJP, leaving the tape as it found it: the fused
-    activation's rule otherwise overwrites its saved hidden layer."""
-    return node.vjp(g, overwrite=False) if node.op == "activation" else node.vjp(g)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +723,7 @@ def hvp_operator(lossfn, params):
     def apply(v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64).ravel()
         if v.size != sum(sizes):
-            raise ShapeError(f"hessian_vector_product: vector length {v.size} "
+            raise ShapeError(f"hvp_operator: vector length {v.size} "
                              f"!= parameter count {sum(sizes)}")
         tangent = {}
         for p, part in zip(params, np.split(v, np.cumsum(sizes)[:-1])):

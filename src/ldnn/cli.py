@@ -54,6 +54,17 @@ DIAG_DEFAULTS = {
     "hessian_examples": 1000,
 }
 
+# The keys each config section accepts.  ``data`` holds either the two
+# dataset paths or the generator settings of the task.
+CONFIG_KEYS = {
+    "top-level": ("task", "seed", "n_seeds", "hidden_width", "sizes", "activation_types",
+                  "variants", "schedule", "data", "diagnostics", "hist_bins"),
+    "data (paths)": ("train_path", "val_path"),
+    "data (mnist1d)": ("seed", "params", "m_train", "m_val"),
+    "data (vdp)": ("seed", "x0", "v0", "mu", "h", "n_transient", "n_samples", "val_fraction"),
+    "diagnostics": tuple(DIAG_DEFAULTS),
+}
+
 
 def _load_activation_entry(entry: dict, base_dir: str) -> nn.ActivationSpec:
     if entry.get("kind") == "tabulated" and "path" in entry:
@@ -94,6 +105,12 @@ def parse_experiment_config(path) -> ExperimentConfig:
 
     if exp.task not in ("mnist1d", "vdp"):
         raise ConfigError(f"task must be mnist1d or vdp, got {exp.task!r}")
+    data_form = "paths" if "train_path" in exp.data or "val_path" in exp.data else exp.task
+    for section, given in (("top-level", obj), (f"data ({data_form})", exp.data),
+                           ("diagnostics", exp.diagnostics)):
+        unknown = sorted(set(given) - set(CONFIG_KEYS[section]))
+        if unknown:
+            raise ConfigError(f"unknown {section} keys: {unknown}")
     if exp.n_seeds < 1:
         raise ConfigError("n_seeds must be >= 1")
     if not exp.activation_types:
@@ -109,9 +126,6 @@ def parse_experiment_config(path) -> ExperimentConfig:
     widths = exp.sizes if exp.sizes else [exp.hidden_width]
     if any(w < 1 for w in widths):
         raise ConfigError("hidden widths must be positive")
-    unknown = sorted(set(exp.diagnostics) - set(DIAG_DEFAULTS))
-    if unknown:
-        raise ConfigError(f"unknown diagnostics keys: {unknown}")
     for key, least in (("hutchinson_probes", 2), ("lanczos_k", 1), ("hessian_examples", 1)):
         value = exp.diagnostics[key]
         if not isinstance(value, int) or value < least:
@@ -122,6 +136,10 @@ def parse_experiment_config(path) -> ExperimentConfig:
         TrainSchedule(**exp.schedule)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad schedule: {exc}") from None
+    try:
+        tasks.Synth1DParams(**exp.data.get("params", {}))
+    except TypeError as exc:
+        raise ConfigError(f"bad data.params: {exc}") from None
     return exp
 
 

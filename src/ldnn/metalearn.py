@@ -136,10 +136,10 @@ def _checked_loss(params, config, xb, yb, where: str) -> tuple:
 
 def inner_step(params, config, batch, schedule: TrainSchedule, optimizer=None) -> float:
     """One stochastic gradient update of the layer weights; sub-network
-    weights receive gradients but are never touched."""
+    weights are never touched, and their gradients are not computed."""
     xb, yb = batch
     loss, value = _checked_loss(params, config, xb, yb, "inner step")
-    grads = ad.backward(loss)
+    grads = ad.backward(loss, wrt=params.theta())
     opt = optimizer if optimizer is not None else make_optimizer(schedule.optimizer, schedule.inner_lr)
     for p in params.theta():
         opt.update(p, grads[p])
@@ -148,10 +148,11 @@ def inner_step(params, config, batch, schedule: TrainSchedule, optimizer=None) -
 
 def outer_step(params, config, batch, schedule: TrainSchedule, optimizer=None) -> float:
     """One gradient update of the activation sub-network weights on the same
-    loss; layer weights stay bitwise unchanged."""
+    loss; layer weights stay bitwise unchanged, and their gradients are not
+    computed."""
     xb, yb = batch
     loss, value = _checked_loss(params, config, xb, yb, "outer step")
-    grads = ad.backward(loss)
+    grads = ad.backward(loss, wrt=params.theta_a())
     opt = optimizer if optimizer is not None else make_optimizer(schedule.optimizer, schedule.outer_lr)
     for p in params.theta_a():
         opt.update(p, grads[p])

@@ -578,6 +578,7 @@ def accuracy_campaign(tmp_path_factory):
     return attempts
 
 
+@pytest.mark.slow
 def test_criterion_7_mix_outperforms(accuracy_campaign):
     for seed, ok, detail, _ in accuracy_campaign:
         print(f"  campaign seed {seed}: {'ordering holds' if ok else 'ordering fails'} {detail}")
@@ -587,6 +588,7 @@ def test_criterion_7_mix_outperforms(accuracy_campaign):
            detail + f" [seed {seed}, {n_failed} failed runs]")
 
 
+@pytest.mark.slow
 def test_criterion_10_participation_coupling(accuracy_campaign):
     _, _, _, records = accuracy_campaign[-1]
     mean_a = means(records)
@@ -602,6 +604,7 @@ def test_criterion_10_participation_coupling(accuracy_campaign):
 # ---------------------------------------------------------------------------
 # Criterion 8: flatness of the found minima.
 
+@pytest.mark.slow
 def test_criterion_8_flatness(tmp_path):
     cfg = accuracy_campaign_config(CAMPAIGN_SEED)
     cfg["n_seeds"] = N_SEEDS_FLATNESS
@@ -630,6 +633,7 @@ def test_criterion_8_flatness(tmp_path):
 # ---------------------------------------------------------------------------
 # Criterion 9: van der Pol regression direction.
 
+@pytest.mark.slow
 def test_criterion_9_vdp_regression(tmp_path):
     cfg = {
         "task": "vdp", "seed": CAMPAIGN_SEED, "n_seeds": N_SEEDS_VDP,
@@ -655,6 +659,7 @@ def test_criterion_9_vdp_regression(tmp_path):
 # ---------------------------------------------------------------------------
 # Criterion 11: export and reuse of learned activations.
 
+@pytest.mark.slow
 def test_criterion_11_reuse_pipeline(tmp_path, digit_data):
     train, val = digit_data
     subnet_acts = (ActivationSpec.subnet("sine", 50), ActivationSpec.subnet("sine", 50))

@@ -369,6 +369,66 @@ class TestActivation:
                           [(slice(None), ActivationSpec.subnet("tanh", 3), None)])
 
 
+    def test_subnet_hidden_layer_is_one_product(self):
+        """The pre-activation [x, 1] @ [w1; b1] matches the outer-product
+        form, and its hidden layer is one C-contiguous array, which the
+        backward rule overwrites in place."""
+        rng = np.random.default_rng(41)
+        x = rng.uniform(-4, 4, size=(30, 8))[:, ::2]  # a strided view, as a column group
+        sub = nn.SubnetParams(*[Tensor(rng.uniform(-2, 2, size=s)) for s in (50, 50, 50, ())])
+        y, hid = ad.activation_values(ActivationSpec.subnet("sine", 50), x, sub)
+        ref = np.tanh(np.multiply.outer(x.ravel(), sub.w1.data) + sub.b1.data)
+        assert hid.shape == (x.size, 50) and hid.flags.c_contiguous
+        assert np.abs(hid - ref).max() <= 1e-15
+        ref_y = np.sin(x) + (ref @ sub.w2.data + sub.b2.data).reshape(x.shape)
+        assert np.abs(y - ref_y).max() <= 1e-12
+
+
+class TestBackwardWrt:
+    """``backward(loss, wrt=S)`` returns exactly the gradients of S that
+    the full reverse pass returns, and nothing else."""
+
+    @staticmethod
+    def net(kind, seed=42):
+        """A two-hidden-layer classifier's batch loss as a function, and
+        its parameters.  "mix" shares two sub-network types and a ReLU
+        group between both layers."""
+        rng = np.random.default_rng(seed)
+        grid = np.linspace(-3, 3, 25)
+        types = {"mix": (ActivationSpec.subnet("sine", 7), ActivationSpec.subnet("tanh", 5),
+                         ActivationSpec.builtin("relu")),
+                 "tabulated": (ActivationSpec.tabulated(grid, np.tanh(grid)),),
+                 "relu": (ActivationSpec.builtin("relu"),)}[kind]
+        layers = [nn.LayerSpec(w, nn.mixed_assignment(w, range(len(types)))) for w in (8, 6)]
+        config = nn.NetworkConfig(input_dim=5, layers=layers, output_dim=3, activations=types)
+        params = nn.init_network(config, seed=seed)
+        for sp in params.subnets.values():
+            sp.w2.assign(rng.uniform(-0.5, 0.5, size=sp.hidden_width))
+        x = rng.uniform(-1, 1, size=(20, 5))
+        y = rng.integers(0, 3, size=20)
+        return (lambda: ad.softmax_cross_entropy(nn.forward(params, config, x)[0], y)), params
+
+    @pytest.mark.parametrize("kind", ["mix", "tabulated", "relu"])
+    def test_same_bits_for_wrt_and_nothing_else(self, kind):
+        lossfn, params = self.net(kind)
+        full = ad.backward(lossfn())
+        everything = params.all_tensors()
+        subsets = [params.theta(), params.theta_a(), params.weights[:1], params.biases[-1:]]
+        subsets += [params.subnets[t].tensors()[2:3] for t in params.subnets]
+        for wrt in subsets:
+            grads = ad.backward(lossfn(), wrt=wrt)
+            assert len(grads) == len(wrt)
+            for p in everything:
+                if any(p is q for q in wrt):
+                    assert np.array_equal(grads[p], full[p])
+                else:
+                    assert p not in grads
+
+    def test_no_path_to_wrt_gives_empty_map(self):
+        lossfn, _ = self.net("mix")
+        assert len(ad.backward(lossfn(), wrt=[Tensor(np.ones(3), requires_grad=True)])) == 0
+
+
 class TestHessianVectorProduct:
     @staticmethod
     def quadratic_loss(params, a_mat):

@@ -176,17 +176,23 @@ class TestCampaign:
 
 
 class TestDiagnosticsConfig:
-    """A bad ``diagnostics`` block or ``hist_bins`` fails when the config is
-    parsed, before any run trains."""
+    """A bad ``diagnostics`` block, ``hist_bins`` or an unknown key in any
+    section fails when the config is parsed, before any run trains."""
 
     @pytest.mark.parametrize("overrides, message", [
+        ({"hist_bin": 0}, "hist_bin"),
+        ({"data": {"m_trian": 60, "m_val": 30, "seed": 7}}, "m_trian"),
+        ({"data": {"train_path": "t.dsv", "val_path": "v.dsv", "m_train": 60}}, "m_train"),
+        ({"data": {"m_train": 60, "m_val": 30, "params": {"n_pointz": 40}}}, "n_pointz"),
         ({"diagnostics": {"hessian": True, "hesian_examples": 20}}, "hesian_examples"),
         ({"diagnostics": {"hessian": True, "hutchinson_probes": 1}}, "hutchinson_probes"),
         ({"diagnostics": {"hessian": True, "lanczos_k": 0}}, "lanczos_k"),
         ({"diagnostics": {"hessian": True, "hessian_examples": 0}}, "hessian_examples"),
         ({"diagnostics": {"hessian": True, "lanczos_k": 4.5}}, "lanczos_k"),
         ({"hist_bins": 0}, "hist_bins"),
-    ], ids=["unknown-key", "probes", "lanczos-k", "examples", "non-integer", "hist-bins"])
+    ], ids=["unknown-top-level-key", "unknown-data-key", "unknown-data-path-key",
+            "unknown-generator-key", "unknown-key", "probes", "lanczos-k", "examples",
+            "non-integer", "hist-bins"])
     def test_rejected_before_training(self, tmp_path, capsys, monkeypatch, overrides, message):
         trained = []
         monkeypatch.setattr(ml, "train", lambda *a, **k: trained.append(1))
