@@ -169,39 +169,54 @@ def interp_slopes(x, grid, values) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Operations.
 
-def _matmul_vjp(ad, bd):
-    """The backward rule of ``ad @ bd`` for each pairing of ranks 1 and 2."""
-    if ad.ndim == 2 and bd.ndim == 2:
-        return lambda g: (g @ bd.T, ad.T @ g)
-    if ad.ndim == 2:
-        return lambda g: (np.outer(g, bd), ad.T @ g)
-    if bd.ndim == 2:
-        return lambda g: (bd @ g, np.outer(ad, g))
-    return lambda g: (g * bd, g * ad)
+def _matmul_vjp(ra: int, rb: int, g, a, b, needs):
+    """The backward rule of ``a @ b`` for operands of ranks ``ra`` and
+    ``rb`` (1 or 2): (g b', a' g) with a rank-1 ``a`` as a row and a
+    rank-1 ``b`` as a column.  ``g``, ``a`` and ``b`` may carry leading
+    tangent axes, which ``matmul`` broadcasts; an adjoint that ``needs``
+    leaves out is None."""
+    a2 = a if ra == 2 else a[..., None, :]
+    b2 = b if rb == 2 else b[..., None]
+    g2 = g if rb == 2 else g[..., None]
+    g2 = g2 if ra == 2 else g2[..., None, :]
+    ga = gb = None
+    if needs[0]:
+        ga = g2 @ b2.mT
+        ga = ga if ra == 2 else ga[..., 0, :]
+    if needs[1]:
+        gb = a2.mT @ g2
+        gb = gb if rb == 2 else gb[..., 0]
+    return ga, gb
 
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
+    ra, rb = ad.ndim, bd.ndim
+    if ra not in (1, 2) or rb not in (1, 2):
         raise ShapeError(f"matmul: unsupported ranks, {ad.shape} vs {bd.shape}")
     if ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {ad.shape} vs {bd.shape}")
 
+    def vjp(g, needs):
+        return _matmul_vjp(ra, rb, g, ad, bd, needs)
+
     def jvp(ts):
         ta, tb = ts
-        if tb is None:
-            return ta @ bd
-        return ad @ tb if ta is None else ta @ bd + ad @ tb
+        out = None if ta is None else ta @ bd
+        if tb is not None:
+            rb_term = ad @ tb if rb == 2 else tb @ ad.T
+            out = rb_term if out is None else out + rb_term
+        return out
 
-    def vjp2(g, ts):
+    def vjp2(g, ts, needs):
         # Bilinear: the second-order part is the backward rule with the
         # tangents in place of the inputs, (g Rb', Ra' g) for matrices.
         ta, tb = ts
-        ga, gb = _matmul_vjp(ad if ta is None else ta, bd if tb is None else tb)(g)
-        return (None if tb is None else ga, None if ta is None else gb)
+        return _matmul_vjp(ra, rb, g, ad if ta is None else ta, bd if tb is None else tb,
+                           (needs[0] and tb is not None, needs[1] and ta is not None))
 
-    return _make("matmul", ad @ bd, (a, b), _matmul_vjp(ad, bd), jvp, vjp2)
+    return _make("matmul", ad @ bd, (a, b), vjp, jvp, vjp2)
 
 
 def add(a, b) -> Tensor:
@@ -210,32 +225,30 @@ def add(a, b) -> Tensor:
     auditable."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.shape == bd.shape:
-        def vjp(g):
-            return g, g
-    elif bd.ndim == 0:
-        def vjp(g):
-            return g, np.asarray(g.sum())
-    elif ad.ndim == 0:
-        def vjp(g):
-            return np.asarray(g.sum()), g
-    elif ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0]:
-        def vjp(g):
-            return g, g.sum(axis=0)
-    elif ad.ndim == 1 and bd.ndim == 2 and bd.shape[1] == ad.shape[0]:
-        def vjp(g):
-            return g.sum(axis=0), g
-    else:
+    if not (ad.shape == bd.shape or ad.ndim == 0 or bd.ndim == 0
+            or (ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0])
+            or (ad.ndim == 1 and bd.ndim == 2 and bd.shape[1] == ad.shape[0])):
         raise ShapeError(
             f"add: cannot combine shapes {ad.shape} and {bd.shape}; "
             "only equal shapes, scalar broadcast, and per-row bias are supported"
         )
     out = ad + bd
+    # The trailing axes of the output that each operand was broadcast over;
+    # anything before them is a tangent axis.
+    spread = [tuple(range(-out.ndim, -x.ndim)) if x.ndim < out.ndim else () for x in (ad, bd)]
+
+    def vjp(g):
+        return tuple(np.asarray(g.sum(axis=axes)) if axes else g for axes in spread)
 
     def jvp(ts):
-        ta, tb = ts
-        t = tb if ta is None else ta if tb is None else ta + tb
-        return np.broadcast_to(t, out.shape)
+        lead = ()
+        t = None
+        for tx, x in zip(ts, (ad, bd)):
+            if tx is not None:
+                lead = tx.shape[:tx.ndim - x.ndim]
+                tx = tx.reshape(lead + (1,) * (out.ndim - x.ndim) + x.shape)
+                t = tx if t is None else t + tx
+        return np.broadcast_to(t, lead + out.shape)
 
     return _make("add", out, (a, b), vjp, jvp)
 
@@ -318,6 +331,9 @@ def activation_values(spec, x: np.ndarray, subnet=None):
 # Rows of a subnet group's hidden layer that the non-overwriting rules of
 # ``activation`` (those of ``hvp_operator``) hold in temporaries at a time.
 HVP_BLOCK_ROWS = 512
+# Tangents that callers of ``hvp_operator`` apply it to at once: the
+# products over a hidden layer are then matrix-matrix, not matrix-vector.
+HVP_BLOCK_TANGENTS = 4
 
 
 def _row_blocks(n: int, overwrite: bool) -> list:
@@ -339,9 +355,9 @@ def _slope(spec, x):
     return UNARY[spec.name][1](x)
 
 
-def _tangents(ts, params):
-    """Each tangent of ``ts``, or zeros shaped like its parameter array."""
-    return [np.zeros_like(p) if t is None else t for t, p in zip(ts, params)]
+def _tangents(ts, shapes, lead):
+    """Each tangent of ``ts``, or zeros of shape ``lead`` + its ``shapes`` entry."""
+    return [np.zeros(lead + shape) if t is None else t for t, shape in zip(ts, shapes)]
 
 
 def activation(z, groups) -> Tensor:
@@ -362,9 +378,14 @@ def activation(z, groups) -> Tensor:
 
     The tangent and second-order rules differentiate these along tangents
     (Rz, Rw1, Rb1, Rw2, Rb2), with R(a) = Rw1 z + w1 Rz + Rb1 for the
-    sub-network's pre-activation, R(hid) = s R(a) and R(s) = -2 hid R(hid).
-    They, and the backward rule when ``hvp_operator`` calls it, form s,
-    R(hid) and R(s) in blocks of ``HVP_BLOCK_ROWS`` rows and keep hid intact.
+    sub-network's pre-activation, R(hid) = s R(a) and R(s) = u R(a),
+    u = -2 hid s.  The tangents, and the adjoint in the R-reverse pass, may
+    carry leading tangent axes.  No array of tangents x rows x h is formed:
+    each sum over rows is a product of stacked row vectors with s or u, and
+    each per-row term is s or u times stacked coefficient columns, as in
+    g'R(hid) = Rw1 (g z)'s + w1 (g Rz)'s + Rb1 g's.  These rules, and the
+    backward rule when ``hvp_operator`` calls it, form s and u once per
+    block of ``HVP_BLOCK_ROWS`` rows for all tangents, and keep hid intact.
     """
     z = as_tensor(z)
     zd = z.data
@@ -389,113 +410,147 @@ def activation(z, groups) -> Tensor:
             w1, w2 = subnet.w1.data, subnet.w2.data
             saved.append((hid, w1, w2, w1 * w2))
 
-    def per_group(ts=None):
+    def tangent_axes(ts):
+        t, p = next((t, p) for t, p in zip(ts, parents) if t is not None)
+        return t.shape[:t.ndim - p.data.ndim]
+
+    def per_group(ts=None, lead=()):
         """(cols, x, rx, spec, saved, subnet tangents) per group; rx and
-        the subnet tangents, zeros where ``ts`` has None, only with ``ts``."""
-        rz = None if ts is None else _tangents(ts[:1], [zd])[0]
+        the subnet tangents, zeros where ``ts`` has None, only with ``ts``.
+        ``cols`` is an index array, and ``x`` and ``rx`` are C-contiguous,
+        so they flatten without a copy.  The subnet tangents have their
+        tangent axes flattened into one."""
+        rz = None if ts is None else _tangents(ts[:1], [zd.shape], lead)[0]
         k = 1
         for (cols, spec, _), sub in zip(groups, saved):
-            rx = None if rz is None else rz[:, cols]
+            cols = np.arange(zd.shape[1])[cols]
             rsub = None
             if sub is not None and ts is not None:
-                hw = sub[1]
-                rsub = _tangents(ts[k:k + 4], [hw, hw, hw, np.zeros(())])
+                shapes = [sub[1].shape] * 3 + [()]
+                rsub = [t.reshape((-1,) + shape)
+                        for t, shape in zip(_tangents(ts[k:k + 4], shapes, lead), shapes)]
                 k += 4
-            yield cols, zd[:, cols], rx, spec, sub, rsub
+            yield (cols, np.take(zd, cols, axis=-1),
+                   None if rz is None else np.take(rz, cols, axis=-1), spec, sub, rsub)
 
     def vjp(g, needs, overwrite=True):
         # ``backward`` is a tape's last use, so s may overwrite hid there.
         # A parent that ``needs`` leaves out gets None, and the passes that
         # serve only such parents are skipped.
-        gz = np.empty_like(zd) if needs[0] else None
+        lead = g.shape[:-2]
+        gz = np.empty(lead + zd.shape) if needs[0] else None
         grads = [gz]
         for cols, x, _, spec, sub, _ in per_group():
-            gc = g[:, cols]
+            gc = np.take(g, cols, axis=-1)
             if sub is None:
                 if gz is not None:
-                    gz[:, cols] = gc * _slope(spec, x)
+                    gz[..., cols] = gc * _slope(spec, x)
                 continue
             want_sub = any(needs[len(grads):len(grads) + 4])
             grads += [None] * 4
             if gz is None and not want_sub:
                 continue
             hid, _, w2, w1w2 = sub
-            gf, xf = gc.ravel(), x.ravel()
-            dzs = np.empty_like(gf)
+            gf, xf = gc.reshape(lead + (-1,)), x.ravel()
+            dzs = np.empty_like(xf)
             gw2 = gs = gzs = 0.0
             for rows in _row_blocks(len(hid), overwrite):
-                h, gr = hid[rows], gf[rows]
+                h, gr = hid[rows], gf[..., rows]
                 if want_sub:
                     gw2 = gw2 + gr @ h
                 s = _tanh_slope(h, overwrite)
                 if want_sub:
-                    block_gs, block_gzs = np.stack([gr, gr * xf[rows]]) @ s
-                    gs, gzs = gs + block_gs, gzs + block_gzs
+                    lhs = np.stack([gr, gr * xf[rows]], axis=-2)
+                    block = (lhs.reshape(-1, lhs.shape[-1]) @ s).reshape(lhs.shape[:-1] + (-1,))
+                    gs, gzs = gs + block[..., 0, :], gzs + block[..., 1, :]
                 if gz is not None:
                     dzs[rows] = s @ w1w2
             if gz is not None:
-                gz[:, cols] = gc * (_slope(spec, x) + dzs.reshape(x.shape))
+                gz[..., cols] = gc * (_slope(spec, x) + dzs.reshape(x.shape))
             if want_sub:
-                grads[-4:] = [w2 * gzs, w2 * gs, gw2, np.asarray(gf.sum())]
+                grads[-4:] = [w2 * gzs, w2 * gs, gw2, np.asarray(gf.sum(axis=-1))]
+            del gc, gf  # before the next group's
         return tuple(grads)
 
     def jvp(ts):
-        ry = np.empty_like(zd)
-        for cols, x, rx, spec, sub, rsub in per_group(ts):
-            base = rx * _slope(spec, x)
+        lead = tangent_axes(ts)
+        ry = np.empty(lead + zd.shape)
+        for cols, x, rx, spec, sub, rsub in per_group(ts, lead):
             if sub is None:
-                ry[:, cols] = base
+                ry[..., cols] = rx * _slope(spec, x)
                 continue
             hid, w1, w2, w1w2 = sub
             rw1, rb1, rw2, rb2 = rsub
-            xf, rxf = x.ravel(), rx.ravel()
-            # R(res) = hid Rw2 + Rb2 + (s R(a)) w2, the last as s (w2 Rw1) z
-            # + s (w1 w2) Rz + s (w2 Rb1).
-            coef = np.stack([w2 * rw1, w1w2, w2 * rb1], axis=1)
-            res = np.empty_like(xf)
+            n = len(rw1)
+            xf, rxf = x.ravel(), rx.reshape(n, -1)
+            slope = np.broadcast_to(_slope(spec, x), x.shape).ravel()
+            # R(y) = base'(z) Rz + hid Rw2 + Rb2 + (s R(a)) w2, the last as
+            # z s (w2 Rw1) + s (w2 Rb1) + Rz s (w1 w2): rows of coefficients
+            # times s'.
+            coef = np.concatenate([w2 * rw1, w2 * rb1, w1w2[None]])
+            ry_group = np.empty((n, len(xf)))
             for rows in _row_blocks(len(hid), False):
                 h = hid[rows]
-                c = _tanh_slope(h, False) @ coef
-                res[rows] = h @ rw2 + xf[rows] * c[:, 0] + rxf[rows] * c[:, 1] + c[:, 2]
-            ry[:, cols] = base + (res + rb2).reshape(x.shape)
+                c = coef @ _tanh_slope(h, False).T
+                c[-1] += slope[rows]
+                ry_group[:, rows] = (rw2 @ h.T + xf[rows] * c[:n] + c[n:2 * n]
+                                     + rxf[:, rows] * c[-1] + rb2[:, None])
+            ry[..., cols] = ry_group.reshape(lead + x.shape)
+            del rx, rxf, ry_group  # before the next group's
         return ry
 
     def vjp2(g, ts):
-        gz = np.empty_like(zd)
+        lead = tangent_axes(ts)
+        gz = np.empty(lead + zd.shape)
         grads = [gz]
-        for cols, x, rx, spec, sub, rsub in per_group(ts):
+        for cols, x, rx, spec, sub, rsub in per_group(ts, lead):
             if spec.kind == "tabulated":  # piecewise linear: no second-order term
-                gz[:, cols] = 0.0
+                gz[..., cols] = 0.0
                 continue
-            gc = g[:, cols]
-            curvature = UNARY[spec.name][2](x) * rx
+            gc = np.take(g, cols, axis=-1)
+            curvature = UNARY[spec.name][2](x)
             if sub is None:
-                gz[:, cols] = gc * curvature
+                gz[..., cols] = gc * (curvature * rx)
                 continue
             hid, w1, w2, w1w2 = sub
             rw1, rb1, rw2, _ = rsub
-            gf, xf, rxf = gc.ravel(), x.ravel(), rx.ravel()
-            a_coef = np.stack([rw1, w1, rb1])
+            n = len(rw1)
+            gf, xf = gc.ravel(), x.ravel()
+            rxf = rx.reshape(n, -1)
+            gx = gf * xf
+            curvature = np.broadcast_to(curvature, x.shape).ravel()
+            # Per-row terms of R(dz)/g: base''(z) Rz + s (w1 Rw2 + Rw1 w2)
+            # + R(s) (w1 w2), the last as z u (Rw1 w1 w2) + u (Rb1 w1 w2)
+            # + Rz u (w1 w1 w2).
             s_coef = w1 * rw2 + rw1 * w2
-            rdz = np.empty_like(gf)
-            g_s = g_rs = g_rhid = 0.0
+            u_coef = np.concatenate([rw1 * w1w2, rb1 * w1w2, (w1 * w1w2)[None]])
+            rdz = np.empty((n, len(xf)))
+            by_s = by_u = 0.0
             for rows in _row_blocks(len(hid), False):
-                h, gr, xr, rxr = hid[rows], gf[rows], xf[rows], rxf[rows]
+                h, gr, gxr, rxr = hid[rows], gf[rows], gx[rows], rxf[:, rows]
                 s = _tanh_slope(h, False)
-                lhs = np.stack([gr, gr * xr, gr * rxr])
-                g_s = g_s + lhs @ s
-                rdz[rows] = s @ s_coef
-                r = np.stack([xr, rxr, np.ones_like(xr)], axis=1) @ a_coef
-                r *= s  # R(hid)
-                g_rhid = g_rhid + gr @ r
-                r *= h
-                r *= -2.0  # R(s)
-                g_rs = g_rs + lhs[:2] @ r
-                rdz[rows] += r @ w1w2
-            # g_s = (g's, (g z)'s, (g Rz)'s); g_rs = (g'R(s), (g z)'R(s)).
-            gz[:, cols] = gc * (curvature + rdz.reshape(x.shape))
-            grads += [rw2 * g_s[1] + w2 * (g_s[2] + g_rs[1]),
-                      rw2 * g_s[0] + w2 * g_rs[0], g_rhid, None]
+                u = h * s
+                u *= -2.0
+                # Sums over rows: (g, g z, g Rz) against s, and
+                # (g, g z, g z^2, g Rz, g z Rz) against u.
+                grx = gr * rxr
+                by_s = by_s + np.concatenate([gr[None], gxr[None], grx]) @ s
+                by_u = by_u + np.concatenate([gr[None], gxr[None], (gxr * xf[rows])[None],
+                                              grx, gxr * rxr]) @ u
+                cu = u_coef @ u.T
+                cu[-1] += curvature[rows]
+                rdz[:, rows] = s_coef @ s.T + xf[rows] * cu[:n] + cu[n:2 * n] + rxr * cu[-1]
+            g_s, gx_s, grx_s = by_s[0], by_s[1], by_s[2:]
+            g_u, gx_u, gxx_u, grx_u, gxrx_u = by_u[0], by_u[1], by_u[2], by_u[3:3 + n], by_u[3 + n:]
+            g_rhid = rw1 * gx_s + w1 * grx_s + rb1 * g_s     # g'R(hid)
+            g_rs = rw1 * gx_u + w1 * grx_u + rb1 * g_u       # g'R(s)
+            gx_rs = rw1 * gxx_u + w1 * gxrx_u + rb1 * gx_u   # (g z)'R(s)
+            rdz *= gf
+            gz[..., cols] = rdz.reshape(lead + x.shape)
+            del rx, rxf, rdz  # before the next group's
+            grads += [d.reshape(lead + w1.shape) for d in
+                      (rw2 * gx_s + w2 * (grx_s + gx_rs), rw2 * g_s + w2 * g_rs, g_rhid)]
+            grads.append(None)
         return tuple(grads)
 
     return _make("activation", out, tuple(parents), vjp, jvp, vjp2)
@@ -505,11 +560,14 @@ def reduce_mean(x) -> Tensor:
     x = as_tensor(x)
     xd = x.data
 
+    axes = tuple(range(-xd.ndim, 0))
+
     def vjp(g):
-        return (np.full(xd.shape, float(g) / xd.size),)
+        g = np.asarray(g)
+        return (np.full(g.shape + xd.shape, (g / xd.size).reshape(g.shape + (1,) * xd.ndim)),)
 
     def jvp(ts):
-        return np.asarray(ts[0].mean())
+        return np.asarray(ts[0].mean(axis=axes))
 
     return _make("reduce-mean", np.asarray(xd.mean()), (x,), vjp, jvp)
 
@@ -544,15 +602,15 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
         return p
 
     def vjp(g):
-        return (float(g) / m * dlogits(),)
+        return (np.asarray(g)[..., None, None] / m * dlogits(),)
 
     def jvp(ts):
-        return np.asarray((dlogits() * ts[0]).sum() / m)
+        return np.asarray((dlogits() * ts[0]).sum(axis=(-2, -1)) / m)
 
     def vjp2(g, ts):
         # The softmax's Jacobian, diag(p) - p p', applied row by row.
         p, t = np.exp(logp), ts[0]
-        return (float(g) / m * p * (t - (p * t).sum(axis=1, keepdims=True)),)
+        return (float(g) / m * p * (t - (p * t).sum(axis=-1, keepdims=True)),)
 
     return _make("softmax-cross-entropy", np.asarray(loss), (lg,), vjp, jvp, vjp2)
 
@@ -563,9 +621,11 @@ def mse(pred, target) -> Tensor:
     if p.data.shape != t.data.shape:
         raise ShapeError(f"mean-squared-error: shapes {p.data.shape} vs {t.data.shape}")
     diff = p.data - t.data
+    axes = tuple(range(-diff.ndim, 0))
 
     def vjp(g):
-        d = (2.0 * float(g) / diff.size) * diff
+        g = np.asarray(g)
+        d = (2.0 * g.reshape(g.shape + (1,) * diff.ndim) / diff.size) * diff
         return d, -d
 
     def rdiff(ts):
@@ -573,7 +633,7 @@ def mse(pred, target) -> Tensor:
         return -tt if tp is None else tp if tt is None else tp - tt
 
     def jvp(ts):
-        return np.asarray((2.0 / diff.size) * (diff * rdiff(ts)).sum())
+        return np.asarray((2.0 / diff.size) * (diff * rdiff(ts)).sum(axis=axes))
 
     def vjp2(g, ts):
         d = (2.0 * float(g) / diff.size) * rdiff(ts)
@@ -648,12 +708,22 @@ def _restrict(nodes, wrt) -> list:
 
 
 def _vjp(node: TapeNode, g, overwrite=True):
-    """The node's VJP.  The fused activation's rule computes only the
-    adjoints its ``needs`` marks and, with ``overwrite``, writes s over its
-    saved hidden layer."""
+    """The node's VJP.  The rules of matmul and the fused activation
+    compute only the adjoints its ``needs`` marks; the activation's, with
+    ``overwrite``, writes s over its saved hidden layer."""
     if node.op == "activation":
         return node.vjp(g, node.needs, overwrite)
+    if node.op == "matmul":
+        return node.vjp(g, node.needs)
     return node.vjp(g)
+
+
+def _vjp2(node: TapeNode, g, ts):
+    """The second-order part of the node's VJP; matmul's computes only the
+    adjoints its ``needs`` marks."""
+    if node.op == "matmul":
+        return node.vjp2(g, ts, node.needs)
+    return node.vjp2(g, ts)
 
 
 def _keep_vjp(node: TapeNode, g):
@@ -704,14 +774,19 @@ def assign_flat(params, vec: np.ndarray) -> None:
 
 
 def hvp_operator(lossfn, params):
-    """Linearize ``lossfn()`` at the current parameters; return v -> Hv.
+    """Linearize ``lossfn()`` at the current parameters; return V -> HV.
 
-    One forward and one reverse pass run here, and the operator keeps
-    their tape and adjoints.  Each application is one tangent-forward pass
-    (R of every node output along v) and one R-reverse pass: the adjoint
-    of a parent gains vjp(R g) + vjp2(g, tangents) per node, g the node's
-    kept adjoint.  Hv is exact wherever the loss is twice differentiable;
-    the parameters are never perturbed.
+    V is one vector of the P parameters, shape (P,), or a block of b of
+    them as columns, shape (P, b); HV has the shape of V.  A vector is a
+    block with b = 1.  One forward and one reverse pass run here, and the
+    operator keeps their tape and adjoints.  Each application is one
+    tangent-forward pass (R of every node output along each column, carried
+    on a leading tangent axis) and one R-reverse pass: the adjoint of a
+    parent gains vjp(R g) + vjp2(g, tangents) per node, g the node's kept
+    adjoint.  A block of b columns costs less than b vectors do, as the
+    products over each hidden layer become matrix-matrix; see
+    ``HVP_BLOCK_TANGENTS``.  HV is exact wherever the loss is twice
+    differentiable; the parameters are never perturbed.
     """
     params = list(params)
     sizes = [p.data.size for p in params]
@@ -719,36 +794,50 @@ def hvp_operator(lossfn, params):
     _check_loss(loss)
     nodes = [] if loss.node is None else _detach_tape(loss)
     adjoint = _adjoints(loss, nodes, _keep_vjp)
+    # Each tangent is dropped after its last read: by a tangent rule in the
+    # forward pass or, if any reads it, by a second-order rule in the
+    # R-reverse pass, which visits the earliest such node last.
+    last_read = {id(p): node for node in nodes[:-1] for p in node.parents}
+    last_reread = {id(p): node for node in reversed(nodes) if node.vjp2 is not None
+                   for p in node.parents}
 
     def apply(v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64).ravel()
-        if v.size != sum(sizes):
-            raise ShapeError(f"hvp_operator: vector length {v.size} "
+        v = np.asarray(v, dtype=np.float64)
+        block = v if v.ndim == 2 else v.reshape(-1, 1)
+        if len(block) != sum(sizes):
+            raise ShapeError(f"hvp_operator: vector length {len(block)} "
                              f"!= parameter count {sum(sizes)}")
+        lead = block.shape[1:]
         tangent = {}
-        for p, part in zip(params, np.split(v, np.cumsum(sizes)[:-1])):
-            tangent[id(p)] = part.reshape(p.data.shape)
+        for p, part in zip(params, np.split(block, np.cumsum(sizes)[:-1])):
+            tangent[id(p)] = part.T.reshape(lead + p.data.shape)
+
+        def tangents_of(node):
+            return tuple(tangent.get(id(p)) for p in node.parents)
+
         for node in nodes[:-1]:  # nothing reads the loss's own tangent
-            ts = tuple(tangent.get(id(p)) for p in node.parents)
-            if any(t is not None for t in ts):
-                tangent[id(node.out)] = node.jvp(ts)
+            if any(id(p) in tangent for p in node.parents):
+                tangent[id(node.out)] = node.jvp(tangents_of(node))
+            for p in node.parents:
+                if last_read[id(p)] is node and id(p) not in last_reread:
+                    tangent.pop(id(p), None)
         r_adjoint = {}
         for node in reversed(nodes):
-            # Every consumer of this output has run: drop its tangent.
-            tangent.pop(id(node.out), None)
             g_out = adjoint.get(id(node.out))
             if g_out is None:
                 continue
-            rg = r_adjoint.pop(id(node.out), None)
-            if rg is not None:
-                _accumulate(r_adjoint, node, _keep_vjp(node, rg))
-            ts = tuple(tangent.get(id(p)) for p in node.parents)
-            if node.vjp2 is not None and any(t is not None for t in ts):
-                _accumulate(r_adjoint, node, node.vjp2(g_out, ts))
-        if not params:
-            return np.zeros(0)
-        return np.concatenate([np.ravel(r_adjoint.get(id(p), np.zeros(p.data.shape)))
-                               for p in params])
+            if node.vjp2 is not None and any(id(p) in tangent for p in node.parents):
+                _accumulate(r_adjoint, node, _vjp2(node, g_out, tangents_of(node)))
+            for p in node.parents:
+                if last_reread.get(id(p)) is node:
+                    tangent.pop(id(p), None)
+            if id(node.out) in r_adjoint:
+                _accumulate(r_adjoint, node, _keep_vjp(node, r_adjoint.pop(id(node.out))))
+        hv = np.zeros(block.shape)
+        for p, part in zip(params, np.split(hv, np.cumsum(sizes)[:-1])):
+            if id(p) in r_adjoint:
+                part.T[...] = np.reshape(r_adjoint[id(p)], lead + (-1,))
+        return hv if v.ndim == 2 else hv.reshape(v.shape)
 
     return apply
 

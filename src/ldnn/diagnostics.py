@@ -102,17 +102,18 @@ class HessianSummary:
 
 
 def hessian_matrix(lossfn, params) -> np.ndarray:
-    """Assemble H column by column from Hessian-vector products on basis
-    vectors.  Not symmetrized; callers can measure the rounding asymmetry."""
+    """Assemble H from Hessian-vector products on blocks of
+    ``ad.HVP_BLOCK_TANGENTS`` identity columns.  Not symmetrized; callers
+    can measure the rounding asymmetry."""
     params = list(params)
     n = ad.flatten_params(params).size
     hvp = ad.hvp_operator(lossfn, params)
     H = np.empty((n, n))
-    basis = np.zeros(n)
-    for i in range(n):
-        basis[i] = 1.0
-        H[:, i] = hvp(basis)
-        basis[i] = 0.0
+    for i in range(0, n, ad.HVP_BLOCK_TANGENTS):
+        j = min(i + ad.HVP_BLOCK_TANGENTS, n)
+        basis = np.zeros((n, j - i))
+        basis[i:j] = np.eye(j - i)
+        H[:, i:j] = hvp(basis)
     return H
 
 
@@ -151,6 +152,10 @@ def hutchinson_trace(matvec, dim: int, n_probes: int, seed=0,
                      deflate: LanczosResult = None) -> TraceEstimate:
     """Mean of z^T A z over Rademacher probe vectors z, with standard error.
 
+    ``matvec`` maps a (dim, b) block of columns to A times it, (dim, b).
+    The probes are drawn one at a time, as a per-probe loop would draw
+    them, and applied in blocks of ``ad.HVP_BLOCK_TANGENTS``.
+
     With ``deflate``, a Lanczos run on the same operator from an independent
     seed, the trace splits over its orthonormal Krylov basis Q as
     tr(Q^T A Q) + tr(R A R), R = I - Q^T Q.  The first term is the sum of
@@ -163,11 +168,13 @@ def hutchinson_trace(matvec, dim: int, n_probes: int, seed=0,
         raise ValueError("need at least two probes for a standard error")
     rng = np.random.default_rng(seed)
     samples = np.empty(n_probes)
-    for i in range(n_probes):
-        z = rng.integers(0, 2, size=dim).astype(np.float64) * 2.0 - 1.0
+    for i in range(0, n_probes, ad.HVP_BLOCK_TANGENTS):
+        b = min(ad.HVP_BLOCK_TANGENTS, n_probes - i)
+        Z = np.stack([rng.integers(0, 2, size=dim).astype(np.float64) * 2.0 - 1.0
+                      for _ in range(b)])
         if deflate is not None:
-            z -= deflate.basis.T @ (deflate.basis @ z)
-        samples[i] = z @ matvec(z)
+            Z -= (Z @ deflate.basis.T) @ deflate.basis
+        samples[i:i + b] = np.einsum("ij,ji->i", Z, matvec(Z.T))
     exact_part = 0.0 if deflate is None else float(deflate.ritz_values.sum())
     return TraceEstimate(
         value=exact_part + float(samples.mean()),

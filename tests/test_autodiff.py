@@ -429,6 +429,52 @@ class TestBackwardWrt:
         assert len(ad.backward(lossfn(), wrt=[Tensor(np.ones(3), requires_grad=True)])) == 0
 
 
+class TestTangentBlocks:
+    """``hvp_operator`` applied to a (P, b) block returns, column by column,
+    what it returns for each column alone."""
+
+    @staticmethod
+    def assert_columns_match(hvp, V):
+        HV = hvp(V)
+        assert HV.shape == V.shape
+        for j in range(V.shape[1]):
+            single = hvp(V[:, j])
+            assert single.shape == V[:, j].shape
+            assert np.abs(HV[:, j] - single).max() <= 1e-12 * np.abs(single).max()
+
+    @pytest.mark.parametrize("kind", ["mix", "tabulated", "relu"])
+    def test_block_columns_equal_single_vectors(self, kind):
+        lossfn, params = TestBackwardWrt.net(kind)
+        tensors = params.all_tensors()
+        V = np.random.default_rng(44).standard_normal((ad.flatten_params(tensors).size, 5))
+        self.assert_columns_match(ad.hvp_operator(lossfn, tensors), V)
+
+    def test_with_small_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(ad, "HVP_BLOCK_ROWS", 7)
+        lossfn, params = TestBackwardWrt.net("mix")
+        tensors = params.all_tensors()
+        V = np.random.default_rng(45).standard_normal((ad.flatten_params(tensors).size, 3))
+        self.assert_columns_match(ad.hvp_operator(lossfn, tensors), V)
+
+    def test_vector_and_one_column_shapes(self):
+        lossfn, params = TestBackwardWrt.net("mix")
+        tensors = params.all_tensors()
+        hvp = ad.hvp_operator(lossfn, tensors)
+        v = np.random.default_rng(46).standard_normal(ad.flatten_params(tensors).size)
+        hv = hvp(v)
+        assert hv.shape == v.shape
+        assert np.array_equal(hvp(v[:, None])[:, 0], hv)
+        with pytest.raises(ShapeError, match="vector length"):
+            hvp(np.ones((v.size + 1, 2)))
+
+    def test_subset_of_parameters(self):
+        """Tangents along theta_a only: the activation's input has no tangent."""
+        lossfn, params = TestBackwardWrt.net("mix")
+        tensors = params.theta_a()
+        V = np.random.default_rng(47).standard_normal((ad.flatten_params(tensors).size, 3))
+        self.assert_columns_match(ad.hvp_operator(lossfn, tensors), V)
+
+
 class TestHessianVectorProduct:
     @staticmethod
     def quadratic_loss(params, a_mat):

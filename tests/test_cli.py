@@ -401,12 +401,22 @@ class TestExportAndReuse:
 
         lan = dg.spectrum_lanczos(lossfn, tensors, k=6, seed=11)
         est = dg.hessian_trace_hutchinson(lossfn, tensors, n_probes=4, seed=12, deflate=lan)
-        built = []
+        built, applied = [], []
         operator = cli.ad.hvp_operator
-        monkeypatch.setattr(cli.ad, "hvp_operator", lambda *a: built.append(1) or operator(*a))
+
+        def counted(*a):
+            built.append(1)
+            hvp = operator(*a)
+            return lambda v: applied.append(np.shape(v)) or hvp(v)
+
+        monkeypatch.setattr(cli.ad, "hvp_operator", counted)
         est1, lan1, _ = cli.hessian_diagnostics(params, config, train, 4, 6, 40,
                                                 trace_seed=12, lanczos_seed=11)
         assert len(built) == 1
+        # Six single applications for Lanczos, then the four probes in
+        # blocks of HVP_BLOCK_TANGENTS.
+        n, b = sum(t.data.size for t in tensors), cli.ad.HVP_BLOCK_TANGENTS
+        assert applied == [(n,)] * 6 + [(n, min(b, 4 - i)) for i in range(0, 4, b)]
         assert (est1.value, est1.stderr, lan1.f_near_zero) == (est.value, est.stderr,
                                                                lan.f_near_zero)
         assert np.array_equal(lan1.basis, lan.basis)

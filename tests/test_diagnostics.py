@@ -130,6 +130,16 @@ class TestHessianExact:
         H = dg.hessian_matrix(lossfn, params)
         assert np.abs(H - H.T).max() < 1e-5
 
+    def test_blocks_match_basis_vectors(self):
+        """H from identity column blocks equals H from single basis vectors."""
+        lossfn, params = tiny_trained_net()
+        n = ad.flatten_params(params).size
+        hvp = ad.hvp_operator(lossfn, params)
+        H = dg.hessian_matrix(lossfn, params)
+        for i in range(n):
+            col = hvp(np.eye(n)[i])
+            assert np.abs(H[:, i] - col).max() <= 1e-12 * np.abs(col).max()
+
     def test_eigenvalue_sum_equals_trace(self):
         lossfn, params = tiny_trained_net()
         summary = dg.hessian_exact(lossfn, params)
@@ -149,9 +159,40 @@ class TestHessianExact:
 class TestHutchinson:
     def test_diagonal_exact_per_probe(self):
         d = np.array([1.0, 2.0, 3.0])
-        est = dg.hutchinson_trace(lambda z: d * z, 3, n_probes=16, seed=0)
+        est = dg.hutchinson_trace(lambda z: d[:, None] * z, 3, n_probes=16, seed=0)
         assert est.value == pytest.approx(6.0, abs=1e-12)
         assert est.stderr == pytest.approx(0.0, abs=1e-12)
+
+    def test_blocks_draw_the_per_probe_loop_probes(self):
+        """The probes are the ones a per-probe loop draws, in order, and
+        reach the operator in blocks of ``HVP_BLOCK_TANGENTS`` columns
+        and a remainder."""
+        dim, n_probes = 7, 2 * ad.HVP_BLOCK_TANGENTS + 1
+        blocks = []
+        dg.hutchinson_trace(lambda Z: blocks.append(Z.copy()) or Z, dim, n_probes, seed=3)
+        assert [b.shape[1] for b in blocks] == [ad.HVP_BLOCK_TANGENTS] * 2 + [1]
+        rng = np.random.default_rng(3)
+        expected = [rng.integers(0, 2, size=dim).astype(np.float64) * 2.0 - 1.0
+                    for _ in range(n_probes)]
+        assert np.array_equal(np.hstack(blocks), np.column_stack(expected))
+
+    def test_blocks_match_per_probe_reference(self):
+        lossfn, params = tiny_trained_net()
+        n = ad.flatten_params(params).size
+        hvp = ad.hvp_operator(lossfn, params)
+        lan = dg.lanczos(hvp, n, k=4, seed=2)
+        n_probes = 3 * ad.HVP_BLOCK_TANGENTS - 1
+        est = dg.hutchinson_trace(hvp, n, n_probes=n_probes, seed=5, deflate=lan)
+        rng = np.random.default_rng(5)
+        samples = []
+        for _ in range(n_probes):
+            z = rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
+            z -= lan.basis.T @ (lan.basis @ z)
+            samples.append(z @ hvp(z))
+        value = lan.ritz_values.sum() + np.mean(samples)
+        stderr = np.std(samples, ddof=1) / np.sqrt(n_probes)
+        assert abs(est.value - value) <= 1e-12 * abs(value)
+        assert abs(est.stderr - stderr) <= 1e-12 * stderr
 
     def test_within_three_stderr_of_exact(self):
         lossfn, params = tiny_trained_net()
