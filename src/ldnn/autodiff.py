@@ -85,11 +85,17 @@ class TapeNode:
     output's tangent.  ``vjp2(g, tangents)`` is the second-order part of
     the VJP, its derivative along the parent tangents with ``g`` held
     fixed; it is None for ops linear in their inputs.
+
+    The rules of a ``masked`` node also take its ``needs`` mask, as
+    ``vjp(g, needs, overwrite)`` and ``vjp2(g, tangents, needs)``, and may
+    give None for a parent that ``needs`` leaves out; with ``overwrite``
+    (the tape's last use) ``vjp`` may write over what the forward pass
+    saved.
     """
 
-    __slots__ = ("op", "idx", "parents", "out", "vjp", "jvp", "vjp2", "needs")
+    __slots__ = ("op", "idx", "parents", "out", "vjp", "jvp", "vjp2", "needs", "masked")
 
-    def __init__(self, op, parents, out, vjp, jvp, vjp2, needs):
+    def __init__(self, op, parents, out, vjp, jvp, vjp2, needs, masked):
         self.op = op
         self.idx = next(_node_counter)
         self.parents = parents
@@ -98,6 +104,7 @@ class TapeNode:
         self.jvp = jvp
         self.vjp2 = vjp2
         self.needs = needs
+        self.masked = masked
 
 
 class GradientMap:
@@ -130,12 +137,13 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(op: str, out_data: np.ndarray, parents: tuple, vjp, jvp, vjp2=None) -> Tensor:
+def _make(op: str, out_data: np.ndarray, parents: tuple, vjp, jvp, vjp2=None,
+          masked=False) -> Tensor:
     out = Tensor(out_data)
     if _grad_enabled():
         needs = tuple(p.requires_grad or p.node is not None for p in parents)
         if any(needs):
-            out.node = TapeNode(op, parents, out, vjp, jvp, vjp2, needs)
+            out.node = TapeNode(op, parents, out, vjp, jvp, vjp2, needs, masked)
     return out
 
 
@@ -181,10 +189,10 @@ def _matmul_vjp(ra: int, rb: int, g, a, b, needs):
     g2 = g2 if ra == 2 else g2[..., None, :]
     ga = gb = None
     if needs[0]:
-        ga = g2 @ b2.mT
+        ga = g2 @ b2.swapaxes(-1, -2)
         ga = ga if ra == 2 else ga[..., 0, :]
     if needs[1]:
-        gb = a2.mT @ g2
+        gb = a2.swapaxes(-1, -2) @ g2
         gb = gb if rb == 2 else gb[..., 0]
     return ga, gb
 
@@ -198,7 +206,7 @@ def matmul(a, b) -> Tensor:
     if ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {ad.shape} vs {bd.shape}")
 
-    def vjp(g, needs):
+    def vjp(g, needs, _overwrite):
         return _matmul_vjp(ra, rb, g, ad, bd, needs)
 
     def jvp(ts):
@@ -216,7 +224,7 @@ def matmul(a, b) -> Tensor:
         return _matmul_vjp(ra, rb, g, ad if ta is None else ta, bd if tb is None else tb,
                            (needs[0] and tb is not None, needs[1] and ta is not None))
 
-    return _make("matmul", ad @ bd, (a, b), vjp, jvp, vjp2)
+    return _make("matmul", ad @ bd, (a, b), vjp, jvp, vjp2, masked=True)
 
 
 def add(a, b) -> Tensor:
@@ -331,9 +339,6 @@ def activation_values(spec, x: np.ndarray, subnet=None):
 # Rows of a subnet group's hidden layer that the non-overwriting rules of
 # ``activation`` (those of ``hvp_operator``) hold in temporaries at a time.
 HVP_BLOCK_ROWS = 512
-# Tangents that callers of ``hvp_operator`` apply it to at once: the
-# products over a hidden layer are then matrix-matrix, not matrix-vector.
-HVP_BLOCK_TANGENTS = 4
 
 
 def _row_blocks(n: int, overwrite: bool) -> list:
@@ -353,6 +358,13 @@ def _slope(spec, x):
     if spec.kind == "tabulated":
         return interp_slopes(x, spec.grid, spec.values)
     return UNARY[spec.name][1](x)
+
+
+def _columns(a, cols):
+    """``a[..., cols]``: a view for a slice, else a C-contiguous gather, so
+    that a slice of every column, and any index array, flattens without a
+    copy."""
+    return a[..., cols] if isinstance(cols, slice) else np.take(a, cols, axis=-1)
 
 
 def _tangents(ts, shapes, lead):
@@ -417,23 +429,20 @@ def activation(z, groups) -> Tensor:
     def per_group(ts=None, lead=()):
         """(cols, x, rx, spec, saved, subnet tangents) per group; rx and
         the subnet tangents, zeros where ``ts`` has None, only with ``ts``.
-        ``cols`` is an index array, and ``x`` and ``rx`` are C-contiguous,
-        so they flatten without a copy.  The subnet tangents have their
-        tangent axes flattened into one."""
+        The subnet tangents have their tangent axes flattened into one."""
         rz = None if ts is None else _tangents(ts[:1], [zd.shape], lead)[0]
         k = 1
         for (cols, spec, _), sub in zip(groups, saved):
-            cols = np.arange(zd.shape[1])[cols]
             rsub = None
             if sub is not None and ts is not None:
                 shapes = [sub[1].shape] * 3 + [()]
                 rsub = [t.reshape((-1,) + shape)
                         for t, shape in zip(_tangents(ts[k:k + 4], shapes, lead), shapes)]
                 k += 4
-            yield (cols, np.take(zd, cols, axis=-1),
-                   None if rz is None else np.take(rz, cols, axis=-1), spec, sub, rsub)
+            yield (cols, _columns(zd, cols),
+                   None if rz is None else _columns(rz, cols), spec, sub, rsub)
 
-    def vjp(g, needs, overwrite=True):
+    def vjp(g, needs, overwrite):
         # ``backward`` is a tape's last use, so s may overwrite hid there.
         # A parent that ``needs`` leaves out gets None, and the passes that
         # serve only such parents are skipped.
@@ -441,7 +450,7 @@ def activation(z, groups) -> Tensor:
         gz = np.empty(lead + zd.shape) if needs[0] else None
         grads = [gz]
         for cols, x, _, spec, sub, _ in per_group():
-            gc = np.take(g, cols, axis=-1)
+            gc = _columns(g, cols)
             if sub is None:
                 if gz is not None:
                     gz[..., cols] = gc * _slope(spec, x)
@@ -499,7 +508,7 @@ def activation(z, groups) -> Tensor:
             del rx, rxf, ry_group  # before the next group's
         return ry
 
-    def vjp2(g, ts):
+    def vjp2(g, ts, _needs):
         lead = tangent_axes(ts)
         gz = np.empty(lead + zd.shape)
         grads = [gz]
@@ -507,7 +516,7 @@ def activation(z, groups) -> Tensor:
             if spec.kind == "tabulated":  # piecewise linear: no second-order term
                 gz[..., cols] = 0.0
                 continue
-            gc = np.take(g, cols, axis=-1)
+            gc = _columns(g, cols)
             curvature = UNARY[spec.name][2](x)
             if sub is None:
                 gz[..., cols] = gc * (curvature * rx)
@@ -553,7 +562,7 @@ def activation(z, groups) -> Tensor:
             grads.append(None)
         return tuple(grads)
 
-    return _make("activation", out, tuple(parents), vjp, jvp, vjp2)
+    return _make("activation", out, tuple(parents), vjp, jvp, vjp2, masked=True)
 
 
 def reduce_mean(x) -> Tensor:
@@ -708,22 +717,9 @@ def _restrict(nodes, wrt) -> list:
 
 
 def _vjp(node: TapeNode, g, overwrite=True):
-    """The node's VJP.  The rules of matmul and the fused activation
-    compute only the adjoints its ``needs`` marks; the activation's, with
-    ``overwrite``, writes s over its saved hidden layer."""
-    if node.op == "activation":
-        return node.vjp(g, node.needs, overwrite)
-    if node.op == "matmul":
-        return node.vjp(g, node.needs)
-    return node.vjp(g)
-
-
-def _vjp2(node: TapeNode, g, ts):
-    """The second-order part of the node's VJP; matmul's computes only the
-    adjoints its ``needs`` marks."""
-    if node.op == "matmul":
-        return node.vjp2(g, ts, node.needs)
-    return node.vjp2(g, ts)
+    """The node's VJP; a masked node's under its ``needs`` mask, and with
+    ``overwrite`` over what its forward pass saved."""
+    return node.vjp(g, node.needs, overwrite) if node.masked else node.vjp(g)
 
 
 def _keep_vjp(node: TapeNode, g):
@@ -785,8 +781,8 @@ def hvp_operator(lossfn, params):
     parent gains vjp(R g) + vjp2(g, tangents) per node, g the node's kept
     adjoint.  A block of b columns costs less than b vectors do, as the
     products over each hidden layer become matrix-matrix; see
-    ``HVP_BLOCK_TANGENTS``.  HV is exact wherever the loss is twice
-    differentiable; the parameters are never perturbed.
+    ``diagnostics.HVP_BLOCK_TANGENTS``.  HV is exact wherever the loss is
+    twice differentiable; the parameters are never perturbed.
     """
     params = list(params)
     sizes = [p.data.size for p in params]
@@ -827,7 +823,9 @@ def hvp_operator(lossfn, params):
             if g_out is None:
                 continue
             if node.vjp2 is not None and any(id(p) in tangent for p in node.parents):
-                _accumulate(r_adjoint, node, _vjp2(node, g_out, tangents_of(node)))
+                ts = tangents_of(node)
+                _accumulate(r_adjoint, node, node.vjp2(g_out, ts, node.needs) if node.masked
+                            else node.vjp2(g_out, ts))
             for p in node.parents:
                 if last_reread.get(id(p)) is node:
                     tangent.pop(id(p), None)

@@ -15,6 +15,10 @@ from . import autodiff as ad
 
 DEFAULT_EPS_ZERO_REL = 1e-3
 HESSIAN_PARAM_CAP = 6000
+# Columns that ``hessian_matrix`` and ``hutchinson_trace`` hand the Hessian
+# operator at once: the products over a hidden layer are then
+# matrix-matrix, not matrix-vector.
+HVP_BLOCK_TANGENTS = 4
 
 
 class DegenerateActivityError(ValueError):
@@ -103,14 +107,14 @@ class HessianSummary:
 
 def hessian_matrix(lossfn, params) -> np.ndarray:
     """Assemble H from Hessian-vector products on blocks of
-    ``ad.HVP_BLOCK_TANGENTS`` identity columns.  Not symmetrized; callers
+    ``HVP_BLOCK_TANGENTS`` identity columns.  Not symmetrized; callers
     can measure the rounding asymmetry."""
     params = list(params)
     n = ad.flatten_params(params).size
     hvp = ad.hvp_operator(lossfn, params)
     H = np.empty((n, n))
-    for i in range(0, n, ad.HVP_BLOCK_TANGENTS):
-        j = min(i + ad.HVP_BLOCK_TANGENTS, n)
+    for i in range(0, n, HVP_BLOCK_TANGENTS):
+        j = min(i + HVP_BLOCK_TANGENTS, n)
         basis = np.zeros((n, j - i))
         basis[i:j] = np.eye(j - i)
         H[:, i:j] = hvp(basis)
@@ -154,7 +158,7 @@ def hutchinson_trace(matvec, dim: int, n_probes: int, seed=0,
 
     ``matvec`` maps a (dim, b) block of columns to A times it, (dim, b).
     The probes are drawn one at a time, as a per-probe loop would draw
-    them, and applied in blocks of ``ad.HVP_BLOCK_TANGENTS``.
+    them, and applied in blocks of ``HVP_BLOCK_TANGENTS``.
 
     With ``deflate``, a Lanczos run on the same operator from an independent
     seed, the trace splits over its orthonormal Krylov basis Q as
@@ -168,8 +172,8 @@ def hutchinson_trace(matvec, dim: int, n_probes: int, seed=0,
         raise ValueError("need at least two probes for a standard error")
     rng = np.random.default_rng(seed)
     samples = np.empty(n_probes)
-    for i in range(0, n_probes, ad.HVP_BLOCK_TANGENTS):
-        b = min(ad.HVP_BLOCK_TANGENTS, n_probes - i)
+    for i in range(0, n_probes, HVP_BLOCK_TANGENTS):
+        b = min(HVP_BLOCK_TANGENTS, n_probes - i)
         Z = np.stack([rng.integers(0, 2, size=dim).astype(np.float64) * 2.0 - 1.0
                       for _ in range(b)])
         if deflate is not None:

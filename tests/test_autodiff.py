@@ -383,6 +383,15 @@ class TestActivation:
         ref_y = np.sin(x) + (ref @ sub.w2.data + sub.b2.data).reshape(x.shape)
         assert np.abs(y - ref_y).max() <= 1e-12
 
+    def test_column_groups_read_without_extra_copies(self):
+        """A slice group reads through a view, an index-array group through
+        one C-contiguous gather, with or without a leading tangent axis."""
+        a = np.arange(2 * 5 * 4, dtype=np.float64).reshape(2, 5, 4)
+        assert np.shares_memory(ad._columns(a, slice(None)), a)
+        picked = ad._columns(a, np.array([0, 3]))
+        assert picked.flags.c_contiguous
+        assert np.array_equal(picked, a[..., [0, 3]])
+
 
 class TestBackwardWrt:
     """``backward(loss, wrt=S)`` returns exactly the gradients of S that

@@ -415,7 +415,7 @@ class TestExportAndReuse:
         assert len(built) == 1
         # Six single applications for Lanczos, then the four probes in
         # blocks of HVP_BLOCK_TANGENTS.
-        n, b = sum(t.data.size for t in tensors), cli.ad.HVP_BLOCK_TANGENTS
+        n, b = sum(t.data.size for t in tensors), dg.HVP_BLOCK_TANGENTS
         assert applied == [(n,)] * 6 + [(n, min(b, 4 - i)) for i in range(0, 4, b)]
         assert (est1.value, est1.stderr, lan1.f_near_zero) == (est.value, est.stderr,
                                                                lan.f_near_zero)

@@ -167,10 +167,10 @@ class TestHutchinson:
         """The probes are the ones a per-probe loop draws, in order, and
         reach the operator in blocks of ``HVP_BLOCK_TANGENTS`` columns
         and a remainder."""
-        dim, n_probes = 7, 2 * ad.HVP_BLOCK_TANGENTS + 1
+        dim, n_probes = 7, 2 * dg.HVP_BLOCK_TANGENTS + 1
         blocks = []
         dg.hutchinson_trace(lambda Z: blocks.append(Z.copy()) or Z, dim, n_probes, seed=3)
-        assert [b.shape[1] for b in blocks] == [ad.HVP_BLOCK_TANGENTS] * 2 + [1]
+        assert [b.shape[1] for b in blocks] == [dg.HVP_BLOCK_TANGENTS] * 2 + [1]
         rng = np.random.default_rng(3)
         expected = [rng.integers(0, 2, size=dim).astype(np.float64) * 2.0 - 1.0
                     for _ in range(n_probes)]
@@ -181,7 +181,7 @@ class TestHutchinson:
         n = ad.flatten_params(params).size
         hvp = ad.hvp_operator(lossfn, params)
         lan = dg.lanczos(hvp, n, k=4, seed=2)
-        n_probes = 3 * ad.HVP_BLOCK_TANGENTS - 1
+        n_probes = 3 * dg.HVP_BLOCK_TANGENTS - 1
         est = dg.hutchinson_trace(hvp, n, n_probes=n_probes, seed=5, deflate=lan)
         rng = np.random.default_rng(5)
         samples = []
