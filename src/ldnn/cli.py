@@ -54,6 +54,12 @@ DIAG_DEFAULTS = {
     "hessian_examples": 1000,
 }
 
+# The least value of each Hessian setting, whether it comes from the
+# ``diagnostics`` block or from its ``diagnose`` flag.
+HESSIAN_LEAST = {"hutchinson_probes": 2, "lanczos_k": 1, "hessian_examples": 1}
+DIAGNOSE_FLAGS = {"hutchinson_probes": "--probes", "lanczos_k": "--k",
+                  "hessian_examples": "--hessian-examples"}
+
 # The keys each config section accepts.  ``data`` holds either the two
 # dataset paths or the generator settings of the task.
 CONFIG_KEYS = {
@@ -73,6 +79,16 @@ def _load_activation_entry(entry: dict, base_dir: str) -> nn.ActivationSpec:
             path = os.path.join(base_dir, path)
         return nn.load_activation_json(path)
     return nn.spec_from_dict(entry)
+
+
+def check_hessian_settings(values: dict, names: dict) -> None:
+    """Reject a Hessian setting in ``values`` that is not an integer at or
+    above its ``HESSIAN_LEAST``; the message gives the setting as ``names``
+    calls it."""
+    for key, least in HESSIAN_LEAST.items():
+        value = values[key]
+        if not isinstance(value, int) or value < least:
+            raise ConfigError(f"{names[key]} must be an integer >= {least}, got {value!r}")
 
 
 def parse_experiment_config(path) -> ExperimentConfig:
@@ -126,10 +142,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
     widths = exp.sizes if exp.sizes else [exp.hidden_width]
     if any(w < 1 for w in widths):
         raise ConfigError("hidden widths must be positive")
-    for key, least in (("hutchinson_probes", 2), ("lanczos_k", 1), ("hessian_examples", 1)):
-        value = exp.diagnostics[key]
-        if not isinstance(value, int) or value < least:
-            raise ConfigError(f"diagnostics.{key} must be an integer >= {least}, got {value!r}")
+    check_hessian_settings(exp.diagnostics, {key: f"diagnostics.{key}" for key in HESSIAN_LEAST})
     if exp.hist_bins < 1:
         raise ConfigError("hist_bins must be >= 1")
     try:
@@ -211,8 +224,9 @@ def hessian_diagnostics(params, config, dataset, n_probes: int, k: int, n_exampl
                         trace_seed: int, lanczos_seed: int):
     """Loss-Hessian flatness over all trainable parameters (theta and theta_a)
     on the first ``n_examples`` examples: a Lanczos run for the near-zero
-    fraction, then a Hutchinson trace deflated by its Krylov basis, both
-    applying one linearization of the loss.
+    fraction and a Hutchinson trace deflated by its Krylov basis
+    (``dg.deflated_trace``), whose probes ride with the Lanczos steps, on
+    one linearization of the loss.
     Returns (TraceEstimate, LanczosResult, parameter count P)."""
     m = min(n_examples, dataset.n_examples)
     xb, yb = dataset.inputs[:m], dataset.targets[:m]
@@ -222,9 +236,8 @@ def hessian_diagnostics(params, config, dataset, n_probes: int, k: int, n_exampl
     def lossfn():
         return ml.batch_loss(params, config, xb, yb)
 
-    hvp = ad.hvp_operator(lossfn, theta_all)
-    lan = dg.lanczos(hvp, n_params, k=min(k, n_params), seed=lanczos_seed)
-    est = dg.hutchinson_trace(hvp, n_params, n_probes=n_probes, seed=trace_seed, deflate=lan)
+    est, lan = dg.deflated_trace(ad.hvp_operator(lossfn, theta_all), n_params,
+                                 min(k, n_params), n_probes, trace_seed, lanczos_seed)
     return est, lan, n_params
 
 
@@ -430,6 +443,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    check_hessian_settings(vars(args), DIAGNOSE_FLAGS)
     try:
         params, config = nn.load_params(args.params)
     except FileNotFoundError:
@@ -447,7 +461,7 @@ def cmd_diagnose(args) -> int:
     result["normalized_participation_ratio"] = summary.normalized
     if args.hessian:
         est, lan, n_params = hessian_diagnostics(
-            params, config, dataset, args.probes, args.k, args.hessian_examples,
+            params, config, dataset, args.hutchinson_probes, args.lanczos_k, args.hessian_examples,
             trace_seed=args.seed, lanczos_seed=args.seed + 1)
         result["hessian_trace"] = est.value
         result["hessian_trace_stderr"] = est.stderr
@@ -508,10 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--hessian", action="store_true")
-    p.add_argument("--probes", type=int, default=64)
-    p.add_argument("--k", type=int, default=32)
+    for key, flag in DIAGNOSE_FLAGS.items():
+        p.add_argument(flag, dest=key, type=int, default=DIAG_DEFAULTS[key])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hessian-examples", type=int, default=1000)
     p.set_defaults(fn=cmd_diagnose)
     return parser
 

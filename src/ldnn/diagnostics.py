@@ -16,7 +16,8 @@ from . import autodiff as ad
 DEFAULT_EPS_ZERO_REL = 1e-3
 HESSIAN_PARAM_CAP = 6000
 # Columns that ``hessian_matrix`` and ``hutchinson_trace`` hand the Hessian
-# operator at once: the products over a hidden layer are then
+# operator at once, and the most that a Lanczos step of ``deflated_trace``
+# hands it with its probes: the products over a hidden layer are then
 # matrix-matrix, not matrix-vector.
 HVP_BLOCK_TANGENTS = 4
 
@@ -152,46 +153,80 @@ class TraceEstimate:
     n_probes: int
 
 
-def hutchinson_trace(matvec, dim: int, n_probes: int, seed=0,
-                     deflate: LanczosResult = None) -> TraceEstimate:
-    """Mean of z^T A z over Rademacher probe vectors z, with standard error.
-
-    ``matvec`` maps a (dim, b) block of columns to A times it, (dim, b).
-    The probes are drawn one at a time, as a per-probe loop would draw
-    them, and applied in blocks of ``HVP_BLOCK_TANGENTS``.
-
-    With ``deflate``, a Lanczos run on the same operator from an independent
-    seed, the trace splits over its orthonormal Krylov basis Q as
-    tr(Q^T A Q) + tr(R A R), R = I - Q^T Q.  The first term is the sum of
-    the Ritz values, exact; the probes, projected by R, estimate only the
-    second.  The estimate stays unbiased, and its variance loses the
-    outlying eigenvalues the Krylov space has captured, which dominate a
-    loss Hessian's plain Hutchinson variance.
-    """
+def rademacher_probes(dim: int, n_probes: int, seed=0) -> np.ndarray:
+    """(n_probes, dim) Rademacher probe rows, drawn one at a time from
+    ``seed``, as a per-probe loop would draw them."""
     if n_probes < 2:
         raise ValueError("need at least two probes for a standard error")
     rng = np.random.default_rng(seed)
-    samples = np.empty(n_probes)
-    for i in range(0, n_probes, HVP_BLOCK_TANGENTS):
-        b = min(HVP_BLOCK_TANGENTS, n_probes - i)
-        Z = np.stack([rng.integers(0, 2, size=dim).astype(np.float64) * 2.0 - 1.0
-                      for _ in range(b)])
-        if deflate is not None:
-            Z -= (Z @ deflate.basis.T) @ deflate.basis
-        samples[i:i + b] = np.einsum("ij,ji->i", Z, matvec(Z.T))
-    exact_part = 0.0 if deflate is None else float(deflate.ritz_values.sum())
+    return np.stack([rng.integers(0, 2, size=dim).astype(np.float64) * 2.0 - 1.0
+                     for _ in range(n_probes)])
+
+
+def _trace_estimate(exact_part: float, samples: np.ndarray) -> TraceEstimate:
     return TraceEstimate(
         value=exact_part + float(samples.mean()),
-        stderr=float(samples.std(ddof=1) / np.sqrt(n_probes)),
-        n_probes=n_probes,
+        stderr=float(samples.std(ddof=1) / np.sqrt(samples.size)),
+        n_probes=samples.size,
     )
 
 
-def hessian_trace_hutchinson(lossfn, params, n_probes: int = 200, seed=0,
-                             deflate: LanczosResult = None) -> TraceEstimate:
+def hutchinson_trace(matvec, dim: int, n_probes: int, seed=0) -> TraceEstimate:
+    """Mean of z^T A z over Rademacher probe vectors z, with standard error.
+
+    ``matvec`` maps a (dim, b) block of columns to A times it, (dim, b).
+    The probes (``rademacher_probes``) are applied in blocks of
+    ``HVP_BLOCK_TANGENTS``.  ``deflated_trace`` is the one deflated form,
+    its probes riding with the Lanczos steps.
+    """
+    Z = rademacher_probes(dim, n_probes, seed)
+    samples = np.empty(n_probes)
+    for i in range(0, n_probes, HVP_BLOCK_TANGENTS):
+        block = Z[i:i + HVP_BLOCK_TANGENTS]
+        samples[i:i + len(block)] = np.einsum("ij,ji->i", block, matvec(block.T))
+    return _trace_estimate(0.0, samples)
+
+
+def deflated_trace(matvec, dim: int, k: int, n_probes: int, trace_seed=0, lanczos_seed=0):
+    """Hutchinson trace deflated by the Krylov basis of a k-step Lanczos
+    run, with the probes applied alongside the Lanczos steps.
+
+    The trace splits over the run's orthonormal basis Q as
+    tr(Q A Q^T) + tr(R A R), R = I - Q^T Q.  The first term is the sum of
+    the Ritz values, exact; the probes z (``rademacher_probes`` from
+    ``trace_seed``), projected by R, estimate only the second.  The
+    estimate stays unbiased, and its variance loses the outlying
+    eigenvalues the Krylov space has captured, which dominate a loss
+    Hessian's plain Hutchinson variance.
+
+    Step j of the run (``lanczos`` from ``lanczos_seed``) applies A to the
+    block [q_j | the next r probes], r = min(ceil(n_probes / k),
+    HVP_BLOCK_TANGENTS - 1), so ``matvec`` maps (dim, b) blocks, and one
+    block application does the work of 1 + r.  Probes left after a
+    breakdown, or beyond k r, go afterwards in blocks of
+    ``HVP_BLOCK_TANGENTS``.  Deflation comes from the stored images: with
+    W = A Q^T and Y = Z Q^T, R z = z - Q^T (Q z) and, by linearity alone,
+    A R z = A z - W^T (Q z), so sample_i = (Z - Y Q)_i . (AZ - Y W)_i.
+    Returns (TraceEstimate, LanczosResult).
+    """
+    Z = rademacher_probes(dim, n_probes, trace_seed)
+    alphas, betas, Q, W, AZ = _lanczos_steps(matvec, dim, k, lanczos_seed, riders=Z)
+    samples = np.empty(n_probes)
+    # In blocks of probes: OpenBLAS runs products of this size on one
+    # thread, but splits those over a pass's 64 probes across threads,
+    # which makes their last bits depend on the thread count.
+    for i in range(0, n_probes, HVP_BLOCK_TANGENTS):
+        rows = slice(i, i + HVP_BLOCK_TANGENTS)
+        Y = Z[rows] @ Q.T
+        samples[rows] = np.einsum("ij,ij->i", Z[rows] - Y @ Q, AZ[rows] - Y @ W)
+    lan = _lanczos_result(alphas, betas, Q, k)
+    return _trace_estimate(float(lan.ritz_values.sum()), samples), lan
+
+
+def hessian_trace_hutchinson(lossfn, params, n_probes: int = 200, seed=0) -> TraceEstimate:
     params = list(params)
     n = ad.flatten_params(params).size
-    return hutchinson_trace(ad.hvp_operator(lossfn, params), n, n_probes, seed, deflate)
+    return hutchinson_trace(ad.hvp_operator(lossfn, params), n, n_probes, seed)
 
 
 @dataclass
@@ -211,35 +246,69 @@ def lanczos(matvec, dim: int, k: int, seed=0, eps_zero: float = None) -> Lanczos
 
     Ritz values approximate the extreme spectrum; the squared first
     components of the tridiagonal eigenvectors weight each Ritz value's
-    share of the spectral density seen by the start vector.
+    share of the spectral density seen by the start vector.  ``matvec``
+    gets one (dim,) vector per step.  The run stops early (``breakdown``)
+    once the new residual falls below 1e-12 of the largest |A q| so far,
+    a test that does not depend on A's scale.  ``deflated_trace`` runs the
+    same steps with Hutchinson's probes riding in the blocks it applies.
     """
+    alphas, betas, Q, _, _ = _lanczos_steps(matvec, dim, k, seed, riders=np.empty((0, dim)))
+    return _lanczos_result(alphas, betas, Q, k, eps_zero)
+
+
+def _lanczos_steps(matvec, dim: int, k: int, seed, riders: np.ndarray):
+    """The recurrence of ``lanczos``, applying A to the (n, dim) ``riders``
+    alongside as ``deflated_trace`` describes (one vector per step when n
+    is 0).  Returns (alphas, betas, basis Q, A Q^T, A riders^T) with one
+    row per step or rider."""
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
+    per_step = min(-(-len(riders) // k), HVP_BLOCK_TANGENTS - 1)
+    rider_images = np.empty(riders.shape)
+    applied = 0
+
+    def apply(q):
+        nonlocal applied
+        if per_step == 0:
+            return matvec(q)
+        r = min(per_step, len(riders) - applied)
+        block = np.empty((dim, 1 + r))
+        block[:, 0] = q
+        block[:, 1:] = riders[applied:applied + r].T
+        out = matvec(block)
+        rider_images[applied:applied + r] = out[:, 1:].T
+        applied += r
+        return out[:, 0]
+
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(dim)
     q /= np.linalg.norm(q)
-    Q = np.empty((k, dim))
+    Q, W = np.empty((k, dim)), np.empty((k, dim))
     Q[0] = q
-    alphas, betas = [], []
-    breakdown = False
-    w = matvec(q)
-    alphas.append(float(q @ w))
-    w = w - alphas[0] * q
+    W[0] = apply(q)
+    scale = np.linalg.norm(W[0])
+    alphas, betas = [float(q @ W[0])], []
+    w = W[0] - alphas[0] * q
     for j in range(1, k):
         for _ in range(2):  # full reorthogonalization, twice for safety
             w = w - Q[:j].T @ (Q[:j] @ w)
         beta = float(np.linalg.norm(w))
-        if beta < 1e-12:
-            breakdown = True
+        if beta <= 1e-12 * scale:
             break
         q = w / beta
         Q[j] = q
         betas.append(beta)
-        w = matvec(q)
-        alphas.append(float(q @ w))
-        w = w - alphas[-1] * q - beta * Q[j - 1]
-
+        W[j] = apply(q)
+        scale = max(scale, np.linalg.norm(W[j]))
+        alphas.append(float(q @ W[j]))
+        w = W[j] - alphas[-1] * q - beta * Q[j - 1]
+    for i in range(applied, len(riders), HVP_BLOCK_TANGENTS):
+        rider_images[i:i + HVP_BLOCK_TANGENTS] = matvec(riders[i:i + HVP_BLOCK_TANGENTS].T).T
     steps = len(alphas)
+    return alphas, betas, Q[:steps], W[:steps], rider_images
+
+
+def _lanczos_result(alphas, betas, basis, k: int, eps_zero: float = None) -> LanczosResult:
     T = np.diag(alphas)
     if betas:
         T += np.diag(betas, 1) + np.diag(betas, -1)
@@ -254,8 +323,8 @@ def lanczos(matvec, dim: int, k: int, seed=0, eps_zero: float = None) -> Lanczos
         weights=weights,
         f_near_zero=near_zero_fraction(ritz, eps, weights=weights),
         eps_zero=eps,
-        breakdown=breakdown or steps < k,
-        basis=Q[:steps],
+        breakdown=len(alphas) < k,
+        basis=basis,
     )
 
 

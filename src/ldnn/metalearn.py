@@ -53,14 +53,31 @@ class TrainSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Optimizers.
+# Optimizers.  ``update(params, grads)`` steps a group of tensors at once;
+# ``grads`` maps each tensor to its gradient, as ``ad.backward`` returns.
+# The group's gradient and state are flat arrays, so a step makes the same
+# few ufunc calls for any number of tensors, with the bits of
+# tensor-by-tensor updates, as every operation is elementwise.
+
+def _flat_grads(params, grads) -> np.ndarray:
+    return np.concatenate([np.ravel(grads[p]) for p in params])
+
+
+def _subtract(params, step: np.ndarray) -> None:
+    """p <- p - step over the group, ``step`` flat in the group's order."""
+    offset = 0
+    for p in params:
+        n = p.data.size
+        p.assign(p.data - step[offset:offset + n].reshape(p.data.shape))
+        offset += n
+
 
 class PlainSgd:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def update(self, param: Tensor, grad: np.ndarray) -> None:
-        param.assign(param.data - self.lr * grad)
+    def update(self, params, grads) -> None:
+        _subtract(params, self.lr * _flat_grads(params, grads))
 
 
 class MomentumSgd:
@@ -69,11 +86,13 @@ class MomentumSgd:
         self.beta = beta
         self._velocity = {}
 
-    def update(self, param: Tensor, grad: np.ndarray) -> None:
-        v = self._velocity.get(id(param))
+    def update(self, params, grads) -> None:
+        key = tuple(map(id, params))
+        grad = _flat_grads(params, grads)
+        v = self._velocity.get(key)
         v = grad if v is None else self.beta * v + grad
-        self._velocity[id(param)] = v
-        param.assign(param.data - self.lr * v)
+        self._velocity[key] = v
+        _subtract(params, self.lr * v)
 
 
 class Adam:
@@ -84,15 +103,17 @@ class Adam:
         self.eps = eps
         self._state = {}
 
-    def update(self, param: Tensor, grad: np.ndarray) -> None:
-        m, v, t = self._state.get(id(param), (0.0, 0.0, 0))
+    def update(self, params, grads) -> None:
+        key = tuple(map(id, params))
+        grad = _flat_grads(params, grads)
+        m, v, t = self._state.get(key, (0.0, 0.0, 0))
         t += 1
         m = self.beta1 * m + (1 - self.beta1) * grad
         v = self.beta2 * v + (1 - self.beta2) * grad * grad
-        self._state[id(param)] = (m, v, t)
+        self._state[key] = (m, v, t)
         m_hat = m / (1 - self.beta1 ** t)
         v_hat = v / (1 - self.beta2 ** t)
-        param.assign(param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+        _subtract(params, self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
 
 
 def make_optimizer(kind: str, lr: float):
@@ -141,8 +162,7 @@ def inner_step(params, config, batch, schedule: TrainSchedule, optimizer=None) -
     loss, value = _checked_loss(params, config, xb, yb, "inner step")
     grads = ad.backward(loss, wrt=params.theta())
     opt = optimizer if optimizer is not None else make_optimizer(schedule.optimizer, schedule.inner_lr)
-    for p in params.theta():
-        opt.update(p, grads[p])
+    opt.update(params.theta(), grads)
     return value
 
 
@@ -154,8 +174,7 @@ def outer_step(params, config, batch, schedule: TrainSchedule, optimizer=None) -
     loss, value = _checked_loss(params, config, xb, yb, "outer step")
     grads = ad.backward(loss, wrt=params.theta_a())
     opt = optimizer if optimizer is not None else make_optimizer(schedule.optimizer, schedule.outer_lr)
-    for p in params.theta_a():
-        opt.update(p, grads[p])
+    opt.update(params.theta_a(), grads)
     return value
 
 

@@ -404,8 +404,7 @@ def tiny_net():
     opt = ml.Adam(0.02)
     for _ in range(200):
         grads = ad.backward(lossfn())
-        for p in params.theta():
-            opt.update(p, grads[p])
+        opt.update(params.theta(), grads)
     return lossfn, params.theta()
 
 

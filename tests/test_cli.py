@@ -10,6 +10,7 @@ import pytest
 import ldnn.metalearn as ml
 from ldnn import cli, nn, tasks
 from ldnn import diagnostics as dg
+from test_diagnostics import per_probe_reference
 
 
 def write_config(tmp_path, name="exp.json", **overrides):
@@ -399,8 +400,6 @@ class TestExportAndReuse:
         def lossfn():
             return ml.batch_loss(params, config, train.inputs[:40], train.targets[:40])
 
-        lan = dg.spectrum_lanczos(lossfn, tensors, k=6, seed=11)
-        est = dg.hessian_trace_hutchinson(lossfn, tensors, n_probes=4, seed=12, deflate=lan)
         built, applied = [], []
         operator = cli.ad.hvp_operator
 
@@ -410,16 +409,42 @@ class TestExportAndReuse:
             return lambda v: applied.append(np.shape(v)) or hvp(v)
 
         monkeypatch.setattr(cli.ad, "hvp_operator", counted)
-        est1, lan1, _ = cli.hessian_diagnostics(params, config, train, 4, 6, 40,
-                                                trace_seed=12, lanczos_seed=11)
+        est, lan, _ = cli.hessian_diagnostics(params, config, train, 4, 6, 40,
+                                              trace_seed=12, lanczos_seed=11)
         assert len(built) == 1
-        # Six single applications for Lanczos, then the four probes in
-        # blocks of HVP_BLOCK_TANGENTS.
-        n, b = sum(t.data.size for t in tensors), dg.HVP_BLOCK_TANGENTS
-        assert applied == [(n,)] * 6 + [(n, min(b, 4 - i)) for i in range(0, 4, b)]
-        assert (est1.value, est1.stderr, lan1.f_near_zero) == (est.value, est.stderr,
-                                                               lan.f_near_zero)
-        assert np.array_equal(lan1.basis, lan.basis)
+        # Six Lanczos steps; each of the first four carries one probe.
+        n = sum(t.data.size for t in tensors)
+        assert applied == [(n, 2)] * 4 + [(n, 1)] * 2
+        # Against a separate Lanczos run and a per-probe loop on the same
+        # operator.  Column 0 of a block is not bitwise a single product.
+        hvp = operator(lossfn, tensors)
+        ref = dg.lanczos(hvp, n, 6, seed=11)
+        value, stderr = per_probe_reference(hvp, n, 4, 12, ref)
+        assert abs(est.value - value) <= 1e-12 * abs(value)
+        assert abs(est.stderr - stderr) <= 1e-12 * stderr
+        assert lan.f_near_zero == pytest.approx(ref.f_near_zero, rel=1e-12)
+        top = np.abs(ref.ritz_values).max()
+        assert np.abs(lan.ritz_values - ref.ritz_values).max() <= 1e-12 * top
+        assert np.abs(lan.basis - ref.basis).max() <= 1e-12
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--probes", "1"), ("--k", "0"), ("--hessian-examples", "0")])
+    def test_diagnose_rejects_hessian_flags_before_work(self, tmp_path, capsys, monkeypatch,
+                                                        flag, value):
+        """``diagnose`` applies the ``diagnostics`` block's rule table to its
+        Hessian flags before it loads or evaluates anything."""
+        _, params_path = self.train_once(tmp_path)
+        data_dir = tmp_path / "d"
+        assert cli.main(["gen-data", "mnist1d-synth", "--seed", "7", "--m", "60",
+                         "--out", str(data_dir)]) == 0
+        called = []
+        monkeypatch.setattr(cli.ad, "hvp_operator", lambda *a: called.append("hvp"))
+        monkeypatch.setattr(cli.ml, "evaluate", lambda *a: called.append("evaluate"))
+        capsys.readouterr()
+        assert cli.main(["diagnose", str(params_path), "--data", str(data_dir / "val.dsv"),
+                         "--hessian", flag, value]) == 2
+        assert flag in capsys.readouterr().err
+        assert not called
 
 
 class TestSeedDerivation:

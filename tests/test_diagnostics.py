@@ -34,8 +34,7 @@ def tiny_trained_net(seed=0):
     opt = ml.Adam(0.02)
     for _ in range(300):
         grads = ad.backward(lossfn())
-        for p in params.theta():
-            opt.update(p, grads[p])
+        opt.update(params.theta(), grads)
     return lossfn, params.theta()
 
 
@@ -117,6 +116,18 @@ class QuadraticLoss:
         return [self.x]
 
 
+def per_probe_reference(hvp, n, n_probes, seed, lan):
+    """Deflated Hutchinson value and stderr from a per-probe loop: each
+    probe projected by the run's basis, then z . Hz."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(n_probes):
+        z = rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
+        z -= lan.basis.T @ (lan.basis @ z)
+        samples.append(z @ hvp(z))
+    return lan.ritz_values.sum() + np.mean(samples), np.std(samples, ddof=1) / np.sqrt(n_probes)
+
+
 class TestHessianExact:
     def test_diagonal_quadratic(self):
         loss = QuadraticLoss(np.diag([2.0, 4.0]))
@@ -177,22 +188,18 @@ class TestHutchinson:
         assert np.array_equal(np.hstack(blocks), np.column_stack(expected))
 
     def test_blocks_match_per_probe_reference(self):
+        """The deflated trace, its probes riding with the Lanczos steps,
+        matches a per-probe loop.  At k = 2 five of the probes follow the
+        steps in blocks of their own."""
         lossfn, params = tiny_trained_net()
         n = ad.flatten_params(params).size
         hvp = ad.hvp_operator(lossfn, params)
-        lan = dg.lanczos(hvp, n, k=4, seed=2)
         n_probes = 3 * dg.HVP_BLOCK_TANGENTS - 1
-        est = dg.hutchinson_trace(hvp, n, n_probes=n_probes, seed=5, deflate=lan)
-        rng = np.random.default_rng(5)
-        samples = []
-        for _ in range(n_probes):
-            z = rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
-            z -= lan.basis.T @ (lan.basis @ z)
-            samples.append(z @ hvp(z))
-        value = lan.ritz_values.sum() + np.mean(samples)
-        stderr = np.std(samples, ddof=1) / np.sqrt(n_probes)
-        assert abs(est.value - value) <= 1e-12 * abs(value)
-        assert abs(est.stderr - stderr) <= 1e-12 * stderr
+        for k in (4, 2):
+            est, lan = dg.deflated_trace(hvp, n, k, n_probes, trace_seed=5, lanczos_seed=2)
+            value, stderr = per_probe_reference(hvp, n, n_probes, 5, lan)
+            assert abs(est.value - value) <= 1e-12 * abs(value)
+            assert abs(est.stderr - stderr) <= 1e-12 * stderr
 
     def test_within_three_stderr_of_exact(self):
         lossfn, params = tiny_trained_net()
@@ -223,16 +230,16 @@ class TestHutchinson:
         rng = np.random.default_rng(11)
         A = rng.standard_normal((10, 10))
         A = A + A.T
-        lan = dg.lanczos(lambda z: A @ z, 10, k=10, seed=3)
-        est = dg.hutchinson_trace(lambda z: A @ z, 10, n_probes=4, seed=0, deflate=lan)
+        est, _ = dg.deflated_trace(lambda V: A @ V, 10, 10, n_probes=4, trace_seed=0,
+                                   lanczos_seed=3)
         assert est.value == pytest.approx(np.trace(A), abs=1e-9)
         assert est.stderr == pytest.approx(0.0, abs=1e-9)
 
     def test_deflated_within_three_stderr_of_exact(self):
         lossfn, params = tiny_trained_net()
         exact = dg.hessian_exact(lossfn, params)
-        lan = dg.spectrum_lanczos(lossfn, params, k=5, seed=2)
-        est = dg.hessian_trace_hutchinson(lossfn, params, n_probes=200, seed=1, deflate=lan)
+        est, _ = dg.deflated_trace(ad.hvp_operator(lossfn, params), exact.n_params, 5,
+                                   n_probes=200, trace_seed=1, lanczos_seed=2)
         assert abs(est.value - exact.trace) <= 3 * max(est.stderr, 1e-12)
 
     def test_deflation_cuts_outlier_variance(self):
@@ -243,11 +250,55 @@ class TestHutchinson:
         eig = np.concatenate([[80.0, 40.0, 20.0, 10.0], rng.uniform(0.0, 0.5, size=n - 4)])
         A = (U * eig) @ U.T
         plain = dg.hutchinson_trace(lambda z: A @ z, n, n_probes=64, seed=5)
-        lan = dg.lanczos(lambda z: A @ z, n, k=16, seed=6)
-        defl = dg.hutchinson_trace(lambda z: A @ z, n, n_probes=64, seed=5, deflate=lan)
+        defl, _ = dg.deflated_trace(lambda V: A @ V, n, 16, n_probes=64, trace_seed=5,
+                                    lanczos_seed=6)
         assert defl.stderr < plain.stderr / 10
         assert abs(defl.value - eig.sum()) <= 3 * defl.stderr
         assert abs(plain.value - eig.sum()) <= 3 * plain.stderr
+
+
+class TestDeflatedTrace:
+    @pytest.mark.parametrize("n_probes, k, widths", [
+        (64, 32, [3] * 32),
+        (4, 6, [2] * 4 + [1] * 2),
+        (9, 2, [4, 4, 3]),
+        (5, 1, [4, 2]),
+    ])
+    def test_application_schedule(self, n_probes, k, widths):
+        """Step j applies [q_j | up to HVP_BLOCK_TANGENTS - 1 probes]; the
+        probes the steps cannot carry follow in blocks of their own.
+        Together the probes are the ones ``hutchinson_trace`` draws."""
+        dim = 40
+        rng = np.random.default_rng(14)
+        A = rng.standard_normal((dim, dim))
+        A = A + A.T
+        blocks = []
+        est, lan = dg.deflated_trace(lambda V: blocks.append(V.copy()) or A @ V, dim, k,
+                                     n_probes, trace_seed=3, lanczos_seed=4)
+        assert [b.shape[1] for b in blocks] == widths
+        assert max(widths) <= dg.HVP_BLOCK_TANGENTS
+        assert len(lan.basis) == k
+        assert np.array_equal(np.column_stack([b[:, 0] for b in blocks[:k]]), lan.basis.T)
+        drawn = []
+        dg.hutchinson_trace(lambda Z: drawn.append(Z.copy()) or Z, dim, n_probes, seed=3)
+        riders = np.hstack([b[:, 1:] for b in blocks[:k]] + blocks[k:])
+        assert np.array_equal(riders, np.hstack(drawn))
+        assert est.n_probes == n_probes
+
+    def test_rank_one_breaks_down_and_applies_every_probe(self):
+        u = np.random.default_rng(15).standard_normal(6)
+        A = np.outer(u, u)
+        blocks = []
+        est, lan = dg.deflated_trace(lambda V: blocks.append(V.copy()) or A @ V, 6, 5,
+                                     n_probes=7, trace_seed=1, lanczos_seed=2)
+        # the Krylov space of a rank-one operator is span{q_0, u}
+        assert lan.breakdown and len(lan.basis) == 2
+        # two probes rode each step; the other three followed in one block
+        assert [b.shape[1] for b in blocks] == [3, 3, 3]
+        riders = np.hstack([blocks[0][:, 1:], blocks[1][:, 1:], blocks[2]])
+        assert np.array_equal(riders.T, dg.rademacher_probes(6, 7, seed=1))
+        assert est.value == pytest.approx(u @ u, rel=1e-12)
+        assert est.stderr <= 1e-12 * (u @ u)
 
 
 class TestLanczos:
@@ -301,6 +352,21 @@ class TestLanczos:
         assert res.breakdown
         assert res.ritz_values.size < 4
         assert res.basis.shape == (res.ritz_values.size, 6)
+
+    def test_breakdown_is_scale_free(self):
+        """A tiny multiple of an operator runs the same steps and gives the
+        same Ritz values, to scale, and the same near-zero fraction."""
+        rng = np.random.default_rng(16)
+        U, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        eig = np.concatenate([rng.uniform(1.0, 5.0, 10), rng.uniform(-1e-5, 1e-5, 20)])
+        A = (U * eig) @ U.T
+        full = dg.lanczos(lambda z: A @ z, 30, k=12, seed=5)
+        tiny = dg.lanczos(lambda z: 1e-13 * (A @ z), 30, k=12, seed=5)
+        assert not tiny.breakdown and len(tiny.basis) == 12
+        top = np.abs(full.ritz_values).max()
+        assert np.abs(tiny.ritz_values / 1e-13 - full.ritz_values).max() <= 1e-10 * top
+        assert full.f_near_zero > 0.5
+        assert tiny.f_near_zero == pytest.approx(full.f_near_zero, rel=1e-12)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):

@@ -85,25 +85,55 @@ class TestOptimizers:
         w = Tensor(np.zeros(()), requires_grad=True)
         loss = ml.mse_loss(w, Tensor(np.asarray(2.0)))
         grads = ad.backward(loss)
-        ml.PlainSgd(0.1).update(w, grads[w])
+        ml.PlainSgd(0.1).update([w], grads)
         assert float(w.data) == pytest.approx(0.4, abs=1e-15)
 
     def test_momentum_accumulates(self):
         w = Tensor(np.zeros(1), requires_grad=True)
         opt = ml.MomentumSgd(0.1, beta=0.5)
-        opt.update(w, np.array([1.0]))
-        opt.update(w, np.array([1.0]))
+        opt.update([w], {w: np.array([1.0])})
+        opt.update([w], {w: np.array([1.0])})
         np.testing.assert_allclose(w.data, [-0.1 - 0.15])
 
     def test_adam_first_step_size(self):
         # bias correction makes the first step lr-sized regardless of gradient scale
         w = Tensor(np.zeros(1), requires_grad=True)
-        ml.Adam(0.01).update(w, np.array([1e-3]))
+        ml.Adam(0.01).update([w], {w: np.array([1e-3])})
         np.testing.assert_allclose(w.data, [-0.01], rtol=1e-4)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ml.make_optimizer("adagrad", 0.1)
+
+    @pytest.mark.parametrize("kind", ml.OPTIMIZERS)
+    def test_group_update_matches_per_tensor_reference(self, kind):
+        """One update over a group of tensors gives bitwise the values of
+        the tensor-by-tensor rule, step after step."""
+        rng = np.random.default_rng(5)
+        shapes = [(4, 3), (3,), (), (2, 5)]
+        group = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+        ref = [t.data.copy() for t in group]
+        state = [(0.0, 0.0, 0)] * len(group)
+        opt = ml.make_optimizer(kind, 0.01)
+        for _ in range(3):
+            grads = {t: rng.standard_normal(t.data.shape) for t in group}
+            opt.update(group, grads)
+            for i, t in enumerate(group):
+                g = grads[t]
+                m, v, n = state[i]
+                if kind == "plain":
+                    ref[i] = ref[i] - 0.01 * g
+                elif kind == "momentum":
+                    m = g if n == 0 else 0.9 * m + g
+                    ref[i] = ref[i] - 0.01 * m
+                else:
+                    m = 0.9 * m + (1 - 0.9) * g
+                    v = 0.999 * v + (1 - 0.999) * g * g
+                    m_hat, v_hat = m / (1 - 0.9 ** (n + 1)), v / (1 - 0.999 ** (n + 1))
+                    ref[i] = ref[i] - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+                state[i] = (m, v, n + 1)
+        for t, r in zip(group, ref):
+            assert t.data.shape == r.shape and np.array_equal(t.data, r)
 
 
 class TestSteps:
