@@ -80,22 +80,20 @@ class Tensor:
 class TapeNode:
     """One recorded operation: parents, output, and its rules.
 
-    ``vjp(g)`` maps the output's adjoint to one adjoint per parent.
+    Every node's rules follow one contract.  ``vjp(g, needs, overwrite)``
+    maps the output's adjoint to one adjoint per parent.
     ``jvp(tangents)`` maps one tangent per parent (None for zero) to the
-    output's tangent.  ``vjp2(g, tangents)`` is the second-order part of
-    the VJP, its derivative along the parent tangents with ``g`` held
-    fixed; it is None for ops linear in their inputs.
-
-    The rules of a ``masked`` node also take its ``needs`` mask, as
-    ``vjp(g, needs, overwrite)`` and ``vjp2(g, tangents, needs)``, and may
-    give None for a parent that ``needs`` leaves out; with ``overwrite``
-    (the tape's last use) ``vjp`` may write over what the forward pass
-    saved.
+    output's tangent.  ``vjp2(g, tangents, needs)`` is the second-order
+    part of the VJP, its derivative along the parent tangents with ``g``
+    held fixed; it is None for ops linear in their inputs.  Both reverse
+    rules may give None for a parent that the ``needs`` mask leaves out,
+    and with ``overwrite`` (the tape's last use) ``vjp`` may write over
+    what the forward pass saved.
     """
 
-    __slots__ = ("op", "idx", "parents", "out", "vjp", "jvp", "vjp2", "needs", "masked")
+    __slots__ = ("op", "idx", "parents", "out", "vjp", "jvp", "vjp2", "needs")
 
-    def __init__(self, op, parents, out, vjp, jvp, vjp2, needs, masked):
+    def __init__(self, op, parents, out, vjp, jvp, vjp2, needs):
         self.op = op
         self.idx = next(_node_counter)
         self.parents = parents
@@ -104,7 +102,6 @@ class TapeNode:
         self.jvp = jvp
         self.vjp2 = vjp2
         self.needs = needs
-        self.masked = masked
 
 
 class GradientMap:
@@ -137,13 +134,12 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(op: str, out_data: np.ndarray, parents: tuple, vjp, jvp, vjp2=None,
-          masked=False) -> Tensor:
+def _make(op: str, out_data: np.ndarray, parents: tuple, vjp, jvp, vjp2=None) -> Tensor:
     out = Tensor(out_data)
     if _grad_enabled():
         needs = tuple(p.requires_grad or p.node is not None for p in parents)
         if any(needs):
-            out.node = TapeNode(op, parents, out, vjp, jvp, vjp2, needs, masked)
+            out.node = TapeNode(op, parents, out, vjp, jvp, vjp2, needs)
     return out
 
 
@@ -224,7 +220,7 @@ def matmul(a, b) -> Tensor:
         return _matmul_vjp(ra, rb, g, ad if ta is None else ta, bd if tb is None else tb,
                            (needs[0] and tb is not None, needs[1] and ta is not None))
 
-    return _make("matmul", ad @ bd, (a, b), vjp, jvp, vjp2, masked=True)
+    return _make("matmul", ad @ bd, (a, b), vjp, jvp, vjp2)
 
 
 def add(a, b) -> Tensor:
@@ -245,7 +241,7 @@ def add(a, b) -> Tensor:
     # anything before them is a tangent axis.
     spread = [tuple(range(-out.ndim, -x.ndim)) if x.ndim < out.ndim else () for x in (ad, bd)]
 
-    def vjp(g):
+    def vjp(g, _needs, _overwrite):
         return tuple(np.asarray(g.sum(axis=axes)) if axes else g for axes in spread)
 
     def jvp(ts):
@@ -294,13 +290,13 @@ def square(x) -> Tensor:
     x = as_tensor(x)
     xd = x.data
 
-    def vjp(g):
+    def vjp(g, _needs, _overwrite):
         return (g * (2.0 * xd),)
 
     def jvp(ts):
         return ts[0] * (2.0 * xd)
 
-    def vjp2(g, ts):
+    def vjp2(g, ts, _needs):
         return (g * 2.0 * ts[0],)
 
     return _make("square", np.square(xd), (x,), vjp, jvp, vjp2)
@@ -562,7 +558,7 @@ def activation(z, groups) -> Tensor:
             grads.append(None)
         return tuple(grads)
 
-    return _make("activation", out, tuple(parents), vjp, jvp, vjp2, masked=True)
+    return _make("activation", out, tuple(parents), vjp, jvp, vjp2)
 
 
 def reduce_mean(x) -> Tensor:
@@ -571,7 +567,7 @@ def reduce_mean(x) -> Tensor:
 
     axes = tuple(range(-xd.ndim, 0))
 
-    def vjp(g):
+    def vjp(g, _needs, _overwrite):
         g = np.asarray(g)
         return (np.full(g.shape + xd.shape, (g / xd.size).reshape(g.shape + (1,) * xd.ndim)),)
 
@@ -610,13 +606,13 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
         p[np.arange(m), labels] -= 1.0
         return p
 
-    def vjp(g):
+    def vjp(g, _needs, _overwrite):
         return (np.asarray(g)[..., None, None] / m * dlogits(),)
 
     def jvp(ts):
         return np.asarray((dlogits() * ts[0]).sum(axis=(-2, -1)) / m)
 
-    def vjp2(g, ts):
+    def vjp2(g, ts, _needs):
         # The softmax's Jacobian, diag(p) - p p', applied row by row.
         p, t = np.exp(logp), ts[0]
         return (float(g) / m * p * (t - (p * t).sum(axis=-1, keepdims=True)),)
@@ -632,7 +628,7 @@ def mse(pred, target) -> Tensor:
     diff = p.data - t.data
     axes = tuple(range(-diff.ndim, 0))
 
-    def vjp(g):
+    def vjp(g, _needs, _overwrite):
         g = np.asarray(g)
         d = (2.0 * g.reshape(g.shape + (1,) * diff.ndim) / diff.size) * diff
         return d, -d
@@ -644,7 +640,7 @@ def mse(pred, target) -> Tensor:
     def jvp(ts):
         return np.asarray((2.0 / diff.size) * (diff * rdiff(ts)).sum(axis=axes))
 
-    def vjp2(g, ts):
+    def vjp2(g, ts, _needs):
         d = (2.0 * float(g) / diff.size) * rdiff(ts)
         return d, -d
 
@@ -691,14 +687,15 @@ def _accumulate(adjoint: dict, node: TapeNode, grads) -> None:
         adjoint[id(parent)] = g_par if prev is None else prev + g_par
 
 
-def _adjoints(loss: Tensor, nodes, vjp) -> dict:
-    """Reverse pass: the adjoint of every tensor on the tape, by id, with
-    ``vjp(node, g)`` applying each node's backward rule."""
+def _adjoints(loss: Tensor, nodes, overwrite: bool) -> dict:
+    """Reverse pass: the adjoint of every tensor on the tape, by id.  With
+    ``overwrite`` the backward rules may write over what the forward pass
+    saved."""
     adjoint = {id(loss): np.ones((), dtype=np.float64)}
     for node in reversed(nodes):
         g_out = adjoint.get(id(node.out))
         if g_out is not None:
-            _accumulate(adjoint, node, vjp(node, g_out))
+            _accumulate(adjoint, node, node.vjp(g_out, node.needs, overwrite))
     return adjoint
 
 
@@ -716,17 +713,6 @@ def _restrict(nodes, wrt) -> list:
     return kept
 
 
-def _vjp(node: TapeNode, g, overwrite=True):
-    """The node's VJP; a masked node's under its ``needs`` mask, and with
-    ``overwrite`` over what its forward pass saved."""
-    return node.vjp(g, node.needs, overwrite) if node.masked else node.vjp(g)
-
-
-def _keep_vjp(node: TapeNode, g):
-    """The node's VJP, leaving the tape as it found it."""
-    return _vjp(node, g, overwrite=False)
-
-
 def backward(loss: Tensor, wrt=None) -> GradientMap:
     """Accumulate d(loss)/d(leaf) for every parameter on the tape, or with
     ``wrt`` for the parameters in ``wrt`` only.  Then a node runs only if
@@ -742,7 +728,7 @@ def backward(loss: Tensor, wrt=None) -> GradientMap:
     nodes = _detach_tape(loss)
     if wrt is not None:
         nodes = _restrict(nodes, wrt)
-    adjoint = _adjoints(loss, nodes, _vjp)
+    adjoint = _adjoints(loss, nodes, overwrite=True)
     leaves = [p for node in nodes for p in node.parents if p.requires_grad]
     return GradientMap({t: np.asarray(adjoint[id(t)]) for t in leaves if id(t) in adjoint})
 
@@ -789,7 +775,7 @@ def hvp_operator(lossfn, params):
     loss = lossfn()
     _check_loss(loss)
     nodes = [] if loss.node is None else _detach_tape(loss)
-    adjoint = _adjoints(loss, nodes, _keep_vjp)
+    adjoint = _adjoints(loss, nodes, overwrite=False)
     # Each tangent is dropped after its last read: by a tangent rule in the
     # forward pass or, if any reads it, by a second-order rule in the
     # R-reverse pass, which visits the earliest such node last.
@@ -823,14 +809,13 @@ def hvp_operator(lossfn, params):
             if g_out is None:
                 continue
             if node.vjp2 is not None and any(id(p) in tangent for p in node.parents):
-                ts = tangents_of(node)
-                _accumulate(r_adjoint, node, node.vjp2(g_out, ts, node.needs) if node.masked
-                            else node.vjp2(g_out, ts))
+                _accumulate(r_adjoint, node, node.vjp2(g_out, tangents_of(node), node.needs))
             for p in node.parents:
                 if last_reread.get(id(p)) is node:
                     tangent.pop(id(p), None)
-            if id(node.out) in r_adjoint:
-                _accumulate(r_adjoint, node, _keep_vjp(node, r_adjoint.pop(id(node.out))))
+            if id(node.out) in r_adjoint:  # popped so it is freed after its one use
+                _accumulate(r_adjoint, node,
+                            node.vjp(r_adjoint.pop(id(node.out)), node.needs, False))
         hv = np.zeros(block.shape)
         for p, part in zip(params, np.split(hv, np.cumsum(sizes)[:-1])):
             if id(p) in r_adjoint:

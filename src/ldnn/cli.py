@@ -139,8 +139,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
         for t in types:
             if not 0 <= t < len(exp.activation_types):
                 raise ConfigError(f"variant {name!r} references undeclared type {t}")
-    widths = exp.sizes if exp.sizes else [exp.hidden_width]
-    if any(w < 1 for w in widths):
+    if any(w < 1 for w in [exp.hidden_width] + (exp.sizes or [])):
         raise ConfigError("hidden widths must be positive")
     check_hessian_settings(exp.diagnostics, {key: f"diagnostics.{key}" for key in HESSIAN_LEAST})
     if exp.hist_bins < 1:
@@ -424,15 +423,15 @@ def cmd_export_activation(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    if args.m < 1:
+        raise ConfigError(f"--m must be >= 1, got {args.m}")
     os.makedirs(args.out, exist_ok=True)
     if args.task == "mnist1d-synth":
-        m = args.m or 4000
         s_train, s_val = np.random.SeedSequence(args.seed).spawn(2)
-        train = tasks.generate_synthetic_1d(s_train, m, split="train")
-        val = tasks.generate_synthetic_1d(s_val, max(1, m // 4), split="val")
+        train = tasks.generate_synthetic_1d(s_train, args.m, split="train")
+        val = tasks.generate_synthetic_1d(s_val, max(1, args.m // 4), split="val")
     else:
-        train, val = tasks.build_vdp_forecast_dataset(seed=args.seed,
-                                                      n_samples=args.m or 4000)
+        train, val = tasks.build_vdp_forecast_dataset(seed=args.seed, n_samples=args.m)
     train_path = os.path.join(args.out, "train.dsv")
     val_path = os.path.join(args.out, "val.dsv")
     tasks.save_dataset(train, train_path)
@@ -513,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="write dataset containers")
     p.add_argument("task", choices=["mnist1d-synth", "vdp"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--m", type=int, default=4000)
     p.add_argument("--out", default="data")
     p.set_defaults(fn=cmd_gen_data)
 

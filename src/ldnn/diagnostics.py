@@ -171,6 +171,14 @@ def _trace_estimate(exact_part: float, samples: np.ndarray) -> TraceEstimate:
     )
 
 
+def _apply_block(matvec, block: np.ndarray) -> np.ndarray:
+    """``matvec(block)``, which must be a block of the same shape."""
+    out = matvec(block)
+    if np.shape(out) != block.shape:
+        raise ValueError(f"matvec returned shape {np.shape(out)} for a {block.shape} block")
+    return out
+
+
 def hutchinson_trace(matvec, dim: int, n_probes: int, seed=0) -> TraceEstimate:
     """Mean of z^T A z over Rademacher probe vectors z, with standard error.
 
@@ -183,7 +191,7 @@ def hutchinson_trace(matvec, dim: int, n_probes: int, seed=0) -> TraceEstimate:
     samples = np.empty(n_probes)
     for i in range(0, n_probes, HVP_BLOCK_TANGENTS):
         block = Z[i:i + HVP_BLOCK_TANGENTS]
-        samples[i:i + len(block)] = np.einsum("ij,ji->i", block, matvec(block.T))
+        samples[i:i + len(block)] = np.einsum("ij,ji->i", block, _apply_block(matvec, block.T))
     return _trace_estimate(0.0, samples)
 
 
@@ -247,9 +255,10 @@ def lanczos(matvec, dim: int, k: int, seed=0, eps_zero: float = None) -> Lanczos
     Ritz values approximate the extreme spectrum; the squared first
     components of the tridiagonal eigenvectors weight each Ritz value's
     share of the spectral density seen by the start vector.  ``matvec``
-    gets one (dim,) vector per step.  The run stops early (``breakdown``)
-    once the new residual falls below 1e-12 of the largest |A q| so far,
-    a test that does not depend on A's scale.  ``deflated_trace`` runs the
+    maps a (dim, b) block of columns to A times it, as for
+    ``hutchinson_trace``; each step hands it a (dim, 1) block.  The run
+    stops early (``breakdown``) once the new residual falls below 1e-12 of
+    the largest |A q| so far, a test that does not depend on A's scale.  ``deflated_trace`` runs the
     same steps with Hutchinson's probes riding in the blocks it applies.
     """
     alphas, betas, Q, _, _ = _lanczos_steps(matvec, dim, k, seed, riders=np.empty((0, dim)))
@@ -258,9 +267,8 @@ def lanczos(matvec, dim: int, k: int, seed=0, eps_zero: float = None) -> Lanczos
 
 def _lanczos_steps(matvec, dim: int, k: int, seed, riders: np.ndarray):
     """The recurrence of ``lanczos``, applying A to the (n, dim) ``riders``
-    alongside as ``deflated_trace`` describes (one vector per step when n
-    is 0).  Returns (alphas, betas, basis Q, A Q^T, A riders^T) with one
-    row per step or rider."""
+    alongside as ``deflated_trace`` describes.  Returns (alphas, betas,
+    basis Q, A Q^T, A riders^T) with one row per step or rider."""
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
     per_step = min(-(-len(riders) // k), HVP_BLOCK_TANGENTS - 1)
@@ -269,13 +277,11 @@ def _lanczos_steps(matvec, dim: int, k: int, seed, riders: np.ndarray):
 
     def apply(q):
         nonlocal applied
-        if per_step == 0:
-            return matvec(q)
         r = min(per_step, len(riders) - applied)
         block = np.empty((dim, 1 + r))
         block[:, 0] = q
         block[:, 1:] = riders[applied:applied + r].T
-        out = matvec(block)
+        out = _apply_block(matvec, block)
         rider_images[applied:applied + r] = out[:, 1:].T
         applied += r
         return out[:, 0]
@@ -303,7 +309,8 @@ def _lanczos_steps(matvec, dim: int, k: int, seed, riders: np.ndarray):
         alphas.append(float(q @ W[j]))
         w = W[j] - alphas[-1] * q - beta * Q[j - 1]
     for i in range(applied, len(riders), HVP_BLOCK_TANGENTS):
-        rider_images[i:i + HVP_BLOCK_TANGENTS] = matvec(riders[i:i + HVP_BLOCK_TANGENTS].T).T
+        rows = slice(i, i + HVP_BLOCK_TANGENTS)
+        rider_images[rows] = _apply_block(matvec, riders[rows].T).T
     steps = len(alphas)
     return alphas, betas, Q[:steps], W[:steps], rider_images
 

@@ -129,21 +129,11 @@ def make_optimizer(kind: str, lr: float):
 # ---------------------------------------------------------------------------
 # Losses.
 
-def cross_entropy_loss(logits, labels) -> Tensor:
-    """Mean of -log softmax(logits)[label] over the batch."""
-    return ad.softmax_cross_entropy(logits, labels)
-
-
-def mse_loss(pred, target) -> Tensor:
-    """Mean of squared differences over all elements."""
-    return ad.mse(pred, target)
-
-
 def batch_loss(params, config, xb, yb) -> Tensor:
     out, _, _ = nn.forward(params, config, xb)
     if config.task == "classification":
-        return cross_entropy_loss(out, np.asarray(yb))
-    return mse_loss(out, Tensor(np.asarray(yb, dtype=np.float64)))
+        return ad.softmax_cross_entropy(out, np.asarray(yb))
+    return ad.mse(out, Tensor(np.asarray(yb, dtype=np.float64)))
 
 
 def _checked_loss(params, config, xb, yb, where: str) -> tuple:
@@ -199,17 +189,14 @@ def _snapshot(history: TrainHistory, params, config, type_indices, step: int) ->
         history.snapshots.setdefault(t, []).append((step, np.asarray(values)))
 
 
-def evaluate(params, config, dataset, task_kind: str = None) -> float:
+def evaluate(params, config, dataset) -> float:
     """Validation accuracy for classification, mean squared error for regression."""
-    kind = config.task if task_kind is None else task_kind
-    if kind not in nn.TASKS:
-        raise ValueError(f"task_kind must be one of {nn.TASKS}")
     with ad.no_grad():
         out, _, _ = nn.forward(params, config, dataset.inputs)
-        if kind == "classification":
+        if config.task == "classification":
             preds = np.argmax(out.data, axis=1)
             return float(np.mean(preds == np.asarray(dataset.targets)))
-        return float(mse_loss(out, Tensor(dataset.targets)).data)
+        return float(ad.mse(out, Tensor(dataset.targets)).data)
 
 
 def train(config, schedule: TrainSchedule, train_set, val_set):

@@ -158,7 +158,8 @@ def load_dataset(path) -> Dataset:
             raise DatasetFormatError(f"{path}: line 2: bad #norm line ({exc})") from None
         body_start = 2
 
-    body = [l for l in lines[body_start:] if l.strip()]
+    # (line number, text) of each non-blank line, numbered as in the file
+    body = [(n, l) for n, l in enumerate(lines[body_start:], body_start + 1) if l.strip()]
     if m == 0 or not body:
         raise DatasetFormatError(f"{path}: no examples")
     if len(body) != m:
@@ -170,8 +171,7 @@ def load_dataset(path) -> Dataset:
         targets = np.empty(m, dtype=np.int64)
     else:
         targets = np.empty((m, out_dim))
-    for i, line in enumerate(body):
-        lineno = body_start + i + 1
+    for i, (lineno, line) in enumerate(body):
         tokens = line.split(",")
         if len(tokens) != n_fields:
             raise DatasetFormatError(

@@ -191,9 +191,10 @@ class TestDiagnosticsConfig:
         ({"diagnostics": {"hessian": True, "hessian_examples": 0}}, "hessian_examples"),
         ({"diagnostics": {"hessian": True, "lanczos_k": 4.5}}, "lanczos_k"),
         ({"hist_bins": 0}, "hist_bins"),
+        ({"hidden_width": 0, "sizes": [10, 20, 40]}, "hidden widths"),
     ], ids=["unknown-top-level-key", "unknown-data-key", "unknown-data-path-key",
             "unknown-generator-key", "unknown-key", "probes", "lanczos-k", "examples",
-            "non-integer", "hist-bins"])
+            "non-integer", "hist-bins", "hidden-width-beside-sizes"])
     def test_rejected_before_training(self, tmp_path, capsys, monkeypatch, overrides, message):
         trained = []
         monkeypatch.setattr(ml, "train", lambda *a, **k: trained.append(1))
@@ -317,6 +318,13 @@ class TestGenData:
             assert cli.main(["gen-data", "mnist1d-synth", "--seed", "5", "--m", "50",
                              "--out", str(out)]) == 0
         assert slurp_tree(o1) == slurp_tree(o2)
+
+    @pytest.mark.parametrize("m", [0, -5])
+    def test_nonpositive_m_rejected(self, tmp_path, capsys, m):
+        out = tmp_path / "none"
+        assert cli.main(["gen-data", "mnist1d-synth", "--m", str(m), "--out", str(out)]) == 2
+        assert "--m must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExportAndReuse:

@@ -174,6 +174,11 @@ class TestHutchinson:
         assert est.value == pytest.approx(6.0, abs=1e-12)
         assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
+    def test_operator_must_keep_block_shape(self):
+        d = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"shape \(4, 3\) for a \(3, 4\) block"):
+            dg.hutchinson_trace(lambda Z: (d[:, None] * Z).T, 3, n_probes=4)
+
     def test_blocks_draw_the_per_probe_loop_probes(self):
         """The probes are the ones a per-probe loop draws, in order, and
         reach the operator in blocks of ``HVP_BLOCK_TANGENTS`` columns
@@ -304,7 +309,7 @@ class TestDeflatedTrace:
 class TestLanczos:
     def test_full_rank_recovers_diagonal(self):
         d = np.arange(1.0, 11.0)
-        res = dg.lanczos(lambda z: d * z, 10, k=10, seed=0)
+        res = dg.lanczos(lambda z: d[:, None] * z, 10, k=10, seed=0)
         np.testing.assert_allclose(res.ritz_values, d[::-1], atol=1e-8)
         assert not res.breakdown
         assert res.weights.sum() == pytest.approx(1.0, abs=1e-10)
@@ -348,7 +353,7 @@ class TestLanczos:
         # operator of rank 1: the Krylov space is exhausted after one step
         u = np.zeros(6)
         u[0] = 1.0
-        res = dg.lanczos(lambda z: u * (u @ z), 6, k=4, seed=4)
+        res = dg.lanczos(lambda z: np.outer(u, u @ z), 6, k=4, seed=4)
         assert res.breakdown
         assert res.ritz_values.size < 4
         assert res.basis.shape == (res.ritz_values.size, 6)
@@ -371,6 +376,13 @@ class TestLanczos:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             dg.lanczos(lambda z: z, 3, k=4)
+
+    def test_vector_operator_rejected(self):
+        """An operator written for (dim,) vectors broadcasts a (dim, 1)
+        block to (dim, dim), whose column 0 is not A q."""
+        d = np.arange(1.0, 4.0)
+        with pytest.raises(ValueError, match=r"shape \(3, 3\) for a \(3, 1\) block"):
+            dg.lanczos(lambda z: d * z, 3, k=2)
 
 
 class TestAggregation:

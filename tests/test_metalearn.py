@@ -40,14 +40,14 @@ def subnet_cfg(task="classification", types=(0, 1), width=6, d=4, o=3, base="sin
 
 class TestLosses:
     def test_uniform_logits(self):
-        loss = ml.cross_entropy_loss(Tensor(np.zeros((4, 10))), np.array([3, 0, 9, 5]))
+        loss = ad.softmax_cross_entropy(Tensor(np.zeros((4, 10))), np.array([3, 0, 9, 5]))
         np.testing.assert_allclose(float(loss.data), math.log(10), rtol=1e-12)
 
     def test_saturated_correct_is_zero(self):
         labels = np.array([0, 2, 1])
         logits = np.zeros((3, 3))
         logits[np.arange(3), labels] = 1e6
-        loss = ml.cross_entropy_loss(Tensor(logits), labels)
+        loss = ad.softmax_cross_entropy(Tensor(logits), labels)
         assert 0.0 <= float(loss.data) < 1e-9
 
     def test_cross_entropy_matches_scalar_oracle(self):
@@ -59,31 +59,31 @@ class TestLosses:
             row = logits[i]
             p = np.exp(row) / np.exp(row).sum()
             total += -math.log(p[labels[i]])
-        loss = ml.cross_entropy_loss(Tensor(logits), labels)
+        loss = ad.softmax_cross_entropy(Tensor(logits), labels)
         np.testing.assert_allclose(float(loss.data), total / 4, rtol=1e-10)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label out of range"):
-            ml.cross_entropy_loss(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+            ad.softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
     def test_mse_cases(self):
         x = np.random.default_rng(2).uniform(-1, 1, size=(3, 2))
-        assert float(ml.mse_loss(Tensor(x), Tensor(x.copy())).data) == 0.0
-        assert float(ml.mse_loss(Tensor(x + 1.0), Tensor(x)).data) == pytest.approx(1.0)
+        assert float(ad.mse(Tensor(x), Tensor(x.copy())).data) == 0.0
+        assert float(ad.mse(Tensor(x + 1.0), Tensor(x)).data) == pytest.approx(1.0)
         y = np.random.default_rng(3).uniform(-1, 1, size=(3, 2))
         oracle = float(np.mean((x - y) ** 2))
-        np.testing.assert_allclose(float(ml.mse_loss(Tensor(x), Tensor(y)).data), oracle, rtol=1e-12)
+        np.testing.assert_allclose(float(ad.mse(Tensor(x), Tensor(y)).data), oracle, rtol=1e-12)
 
     def test_mse_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):
-            ml.mse_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
+            ad.mse(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
 
 
 class TestOptimizers:
     def test_plain_sgd_hand_case(self):
         # L = (w - 2)^2 at w = 0, lr 0.1: gradient -4, update to 0.4
         w = Tensor(np.zeros(()), requires_grad=True)
-        loss = ml.mse_loss(w, Tensor(np.asarray(2.0)))
+        loss = ad.mse(w, Tensor(np.asarray(2.0)))
         grads = ad.backward(loss)
         ml.PlainSgd(0.1).update([w], grads)
         assert float(w.data) == pytest.approx(0.4, abs=1e-15)
@@ -357,9 +357,3 @@ class TestEvaluate:
         params.biases[1].assign(np.zeros(2))
         x = np.random.default_rng(22).uniform(-1, 1, size=(5, 2))
         assert ml.evaluate(params, config, Data(x, x.copy())) == 0.0
-
-    def test_bad_task_kind(self):
-        config = nn.mlp_config(2, 2, 2, (ActivationSpec.builtin("tanh"),))
-        params = nn.init_network(config)
-        with pytest.raises(ValueError, match="task_kind"):
-            ml.evaluate(params, config, Data(np.ones((1, 2)), np.array([0])), "ranking")

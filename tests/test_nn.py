@@ -182,13 +182,15 @@ class TestForward:
 def elementwise(x, value, slope):
     """value(x) elementwise as one tape op, with its backward rule only."""
     xd = x.data
-    return ad._make("elementwise", value(xd), (x,), lambda g: (g * slope(xd),), None)
+    return ad._make("elementwise", value(xd), (x,),
+                    lambda g, _needs, _overwrite: (g * slope(xd),), None)
 
 
 def reshape(x, shape):
     """x reshaped as one tape op, with its backward rule only."""
     xd = x.data
-    return ad._make("reshape", xd.reshape(shape), (x,), lambda g: (g.reshape(xd.shape),), None)
+    return ad._make("reshape", xd.reshape(shape), (x,),
+                    lambda g, _needs, _overwrite: (g.reshape(xd.shape),), None)
 
 
 def reference_layer(z, layer, config, params):

@@ -70,6 +70,14 @@ class TestContainer:
         with pytest.raises(DatasetFormatError, match="line 3"):
             tasks.load_dataset(path)
 
+    def test_parse_error_counts_blank_lines(self, tmp_path):
+        # the bad field is on line 6 of the file, after two blank lines
+        path = tmp_path / "gaps.dsv"
+        path.write_text("#dsv1 task=regression D=2 O=1 M=3\n0.0,1.0,0.5\n\n"
+                        "0.5,1.0,0.5\n\n0.0,oops,0.5\n")
+        with pytest.raises(DatasetFormatError, match="line 6:"):
+            tasks.load_dataset(path)
+
     def test_field_count_error(self, tmp_path):
         path = tmp_path / "fields.dsv"
         path.write_text("#dsv1 task=classification D=3 K=2 M=1\n0.0,1.0,0\n")
