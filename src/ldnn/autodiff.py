@@ -258,8 +258,8 @@ def add(a, b) -> Tensor:
 
 
 # Builtin scalar functions: name -> (value, first, second derivative), each
-# a function of the input.  The fused activation and ``nn.BUILTINS`` read
-# them here.
+# a function of the input.  The fused activation and ``nn.ActivationSpec``
+# read them here.
 
 def _sigmoid_slope(x):
     y = sigmoid_values(x)

@@ -61,7 +61,8 @@ DIAGNOSE_FLAGS = {"hutchinson_probes": "--probes", "lanczos_k": "--k",
                   "hessian_examples": "--hessian-examples"}
 
 # The keys each config section accepts.  ``data`` holds either the two
-# dataset paths or the generator settings of the task.
+# dataset paths or the generator settings of the task, and a tabulated
+# activation either its table or the path of its file.
 CONFIG_KEYS = {
     "top-level": ("task", "seed", "n_seeds", "hidden_width", "sizes", "activation_types",
                   "variants", "schedule", "data", "diagnostics", "hist_bins"),
@@ -69,11 +70,26 @@ CONFIG_KEYS = {
     "data (mnist1d)": ("seed", "params", "m_train", "m_val"),
     "data (vdp)": ("seed", "x0", "v0", "mu", "h", "n_transient", "n_samples", "val_fraction"),
     "diagnostics": tuple(DIAG_DEFAULTS),
+    "activation (builtin)": ("kind", "name"),
+    "activation (subnet)": ("kind", "base", "hidden_width"),
+    "activation (tabulated)": ("kind", "grid", "values"),
+    "activation (tabulated path)": ("kind", "path"),
 }
 
 
+def _check_keys(section: str, given) -> None:
+    unknown = sorted(set(given) - set(CONFIG_KEYS[section]))
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {unknown}")
+
+
 def _load_activation_entry(entry: dict, base_dir: str) -> nn.ActivationSpec:
-    if entry.get("kind") == "tabulated" and "path" in entry:
+    kind = entry.get("kind")
+    form = "tabulated path" if kind == "tabulated" and "path" in entry else kind
+    section = f"activation ({form})"
+    if section in CONFIG_KEYS:  # an unknown kind fails in spec_from_dict
+        _check_keys(section, entry)
+    if form == "tabulated path":
         path = entry["path"]
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
@@ -124,9 +140,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
     data_form = "paths" if "train_path" in exp.data or "val_path" in exp.data else exp.task
     for section, given in (("top-level", obj), (f"data ({data_form})", exp.data),
                            ("diagnostics", exp.diagnostics)):
-        unknown = sorted(set(given) - set(CONFIG_KEYS[section]))
-        if unknown:
-            raise ConfigError(f"unknown {section} keys: {unknown}")
+        _check_keys(section, given)
     if exp.n_seeds < 1:
         raise ConfigError("n_seeds must be >= 1")
     if not exp.activation_types:
@@ -362,10 +376,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _pool_size(jobs) -> int:
+    """``--jobs``, one worker per core when unset."""
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    return jobs or os.cpu_count() or 1
+
+
 def cmd_campaign(args) -> int:
+    jobs = _pool_size(args.jobs)
     exp = parse_experiment_config(args.config)
     train_set, val_set = build_datasets(exp)
-    jobs = args.jobs or os.cpu_count() or 1
     records = run_campaign(exp, train_set, val_set, exp.hidden_width, jobs)
     emit_campaign(exp, records, args.out, exp.hidden_width)
     groups = dg.aggregate_runs(records)
@@ -379,11 +400,11 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_size_sweep(args) -> int:
+    jobs = _pool_size(args.jobs)
     exp = parse_experiment_config(args.config)
     if not exp.sizes:
         raise ConfigError("size sweep needs a 'sizes' list in the config")
     train_set, val_set = build_datasets(exp)
-    jobs = args.jobs or os.cpu_count() or 1
     os.makedirs(args.out, exist_ok=True)
     all_ok = True
     combined = []

@@ -71,21 +71,17 @@ def participation_ratio(activity: np.ndarray) -> CovarianceSummary:
 # ---------------------------------------------------------------------------
 # Hessian instruments.
 
-def near_zero_fraction(eigenvalues, eps_zero: float = None, weights=None) -> float:
-    """Fraction of spectral mass with |eigenvalue| below the threshold.
-
-    The default threshold is relative, 1e-3 * max|eigenvalue|, so the
-    measure survives loss rescaling.
-    """
+def near_zero_fraction(eigenvalues, weights=None) -> float:
+    """Fraction of spectral mass (``weights``, or equal) with |eigenvalue|
+    below 1e-3 * max|eigenvalue|.  The one near-zero rule: relative, so it
+    survives loss rescaling, and an all-zero spectrum is all near zero."""
     eig = np.asarray(eigenvalues, dtype=np.float64)
     if eig.size == 0:
         return 0.0
-    if eps_zero is None:
-        top = np.abs(eig).max()
-        if top == 0.0:
-            return 1.0
-        eps_zero = DEFAULT_EPS_ZERO_REL * top
-    mask = np.abs(eig) < eps_zero
+    top = np.abs(eig).max()
+    if top == 0.0:
+        return 1.0
+    mask = np.abs(eig) < DEFAULT_EPS_ZERO_REL * top
     if weights is None:
         return float(mask.mean())
     w = np.asarray(weights, dtype=np.float64)
@@ -94,16 +90,12 @@ def near_zero_fraction(eigenvalues, eps_zero: float = None, weights=None) -> flo
 
 @dataclass
 class HessianSummary:
-    """Trace, eigenvalue sample, and near-zero fraction of a loss Hessian."""
+    """Trace, eigenvalues, and near-zero fraction of a loss Hessian."""
 
     trace: float
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray  # descending
     f_near_zero: float
-    eps_zero: float
-    method: str
     n_params: int
-    trace_stderr: float = 0.0
-    breakdown: bool = False
 
 
 def hessian_matrix(lossfn, params) -> np.ndarray:
@@ -122,8 +114,7 @@ def hessian_matrix(lossfn, params) -> np.ndarray:
     return H
 
 
-def hessian_exact(lossfn, params, cap: int = HESSIAN_PARAM_CAP,
-                  eps_zero: float = None) -> HessianSummary:
+def hessian_exact(lossfn, params, cap: int = HESSIAN_PARAM_CAP) -> HessianSummary:
     """Dense symmetric eigendecomposition of the assembled Hessian."""
     params = list(params)
     n = ad.flatten_params(params).size
@@ -134,14 +125,10 @@ def hessian_exact(lossfn, params, cap: int = HESSIAN_PARAM_CAP,
     H = hessian_matrix(lossfn, params)
     H = 0.5 * (H + H.T)
     eig = np.linalg.eigvalsh(H)[::-1]
-    top = np.abs(eig).max(initial=0.0)
-    eps = DEFAULT_EPS_ZERO_REL * top if eps_zero is None else eps_zero
     return HessianSummary(
         trace=float(np.trace(H)),
         eigenvalues=eig,
-        f_near_zero=near_zero_fraction(eig, eps),
-        eps_zero=eps,
-        method="exact",
+        f_near_zero=near_zero_fraction(eig),
         n_params=n,
     )
 
@@ -244,12 +231,11 @@ class LanczosResult:
     ritz_values: np.ndarray  # descending
     weights: np.ndarray      # matching spectral weights, sum to 1
     f_near_zero: float
-    eps_zero: float
     basis: np.ndarray  # orthonormal Krylov basis, one row per step
     breakdown: bool = False
 
 
-def lanczos(matvec, dim: int, k: int, seed=0, eps_zero: float = None) -> LanczosResult:
+def lanczos(matvec, dim: int, k: int, seed=0) -> LanczosResult:
     """k-step Lanczos with full reorthogonalization on a symmetric operator.
 
     Ritz values approximate the extreme spectrum; the squared first
@@ -262,7 +248,7 @@ def lanczos(matvec, dim: int, k: int, seed=0, eps_zero: float = None) -> Lanczos
     same steps with Hutchinson's probes riding in the blocks it applies.
     """
     alphas, betas, Q, _, _ = _lanczos_steps(matvec, dim, k, seed, riders=np.empty((0, dim)))
-    return _lanczos_result(alphas, betas, Q, k, eps_zero)
+    return _lanczos_result(alphas, betas, Q, k)
 
 
 def _lanczos_steps(matvec, dim: int, k: int, seed, riders: np.ndarray):
@@ -315,7 +301,7 @@ def _lanczos_steps(matvec, dim: int, k: int, seed, riders: np.ndarray):
     return alphas, betas, Q[:steps], W[:steps], rider_images
 
 
-def _lanczos_result(alphas, betas, basis, k: int, eps_zero: float = None) -> LanczosResult:
+def _lanczos_result(alphas, betas, basis, k: int) -> LanczosResult:
     T = np.diag(alphas)
     if betas:
         T += np.diag(betas, 1) + np.diag(betas, -1)
@@ -323,22 +309,19 @@ def _lanczos_result(alphas, betas, basis, k: int, eps_zero: float = None) -> Lan
     order = np.argsort(evals)[::-1]
     ritz = evals[order]
     weights = evecs[0, order] ** 2
-    top = np.abs(ritz).max(initial=0.0)
-    eps = DEFAULT_EPS_ZERO_REL * top if eps_zero is None else eps_zero
     return LanczosResult(
         ritz_values=ritz,
         weights=weights,
-        f_near_zero=near_zero_fraction(ritz, eps, weights=weights),
-        eps_zero=eps,
+        f_near_zero=near_zero_fraction(ritz, weights=weights),
         breakdown=len(alphas) < k,
         basis=basis,
     )
 
 
-def spectrum_lanczos(lossfn, params, k: int, seed=0, eps_zero: float = None) -> LanczosResult:
+def spectrum_lanczos(lossfn, params, k: int, seed=0) -> LanczosResult:
     params = list(params)
     n = ad.flatten_params(params).size
-    return lanczos(ad.hvp_operator(lossfn, params), n, k, seed, eps_zero)
+    return lanczos(ad.hvp_operator(lossfn, params), n, k, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 
-OPTIMIZERS = ("plain", "momentum", "adam")
-
 SNAPSHOT_GRID = np.linspace(-6.0, 6.0, 201)
 
 
@@ -38,8 +36,6 @@ class TrainSchedule:
     epochs: int = 20
     optimizer: str = "adam"
     seed: int = 0
-    freeze_activations: bool = False
-    snapshot_every: int = 0  # 0: pick ~16 evenly spaced snapshots
 
     def __post_init__(self):
         if self.inner_lr <= 0 or self.outer_lr <= 0:
@@ -49,7 +45,7 @@ class TrainSchedule:
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+            raise ValueError(f"optimizer must be one of {tuple(OPTIMIZERS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +112,13 @@ class Adam:
         _subtract(params, self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
 
 
+OPTIMIZERS = {"plain": PlainSgd, "momentum": MomentumSgd, "adam": Adam}
+
+
 def make_optimizer(kind: str, lr: float):
-    if kind == "plain":
-        return PlainSgd(lr)
-    if kind == "momentum":
-        return MomentumSgd(lr)
-    if kind == "adam":
-        return Adam(lr)
-    raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"optimizer must be one of {tuple(OPTIMIZERS)}")
+    return OPTIMIZERS[kind](lr)
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +213,12 @@ def train(config, schedule: TrainSchedule, train_set, val_set):
     type_indices = sorted({idx for layer in config.layers for idx in layer.assignment})
     n_batches = (m + schedule.batch_size - 1) // schedule.batch_size
     total_steps = schedule.epochs * n_batches
-    every = schedule.snapshot_every if schedule.snapshot_every > 0 else max(1, total_steps // 16)
+    every = max(1, total_steps // 16)
 
     history = TrainHistory(snapshot_grid=SNAPSHOT_GRID.copy())
     _snapshot(history, params, config, type_indices, step=0)
 
-    run_outer = bool(params.subnets) and not schedule.freeze_activations
+    run_outer = bool(params.subnets)
     step = 0
     for epoch in range(schedule.epochs):
         perm = rng.permutation(m)

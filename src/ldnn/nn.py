@@ -18,8 +18,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 
-BUILTINS = {name: fns[0] for name, fns in ad.UNARY.items()}
-
 TASKS = ("classification", "regression")
 
 
@@ -42,13 +40,13 @@ class ActivationSpec:
 
     @staticmethod
     def builtin(name: str) -> "ActivationSpec":
-        if name not in BUILTINS:
+        if name not in ad.UNARY:
             raise ValueError(f"unknown builtin activation {name!r}")
         return ActivationSpec(kind="builtin", name=name)
 
     @staticmethod
     def subnet(base: str, hidden_width: int = 50) -> "ActivationSpec":
-        if base not in BUILTINS:
+        if base not in ad.UNARY:
             raise ValueError(f"unknown base activation {base!r}")
         if hidden_width < 1:
             raise ValueError("subnet hidden_width must be positive")

@@ -3,6 +3,8 @@
 import json
 import multiprocessing
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -176,9 +178,16 @@ class TestCampaign:
         assert slurp_tree(serial) == slurp_tree(pooled)
 
 
+def roster(entry):
+    """``activation_types`` override: two well-formed entries, then ``entry``."""
+    return {"activation_types": [{"kind": "subnet", "base": "sine", "hidden_width": 4},
+                                 {"kind": "builtin", "name": "relu"}, entry]}
+
+
 class TestDiagnosticsConfig:
     """A bad ``diagnostics`` block, ``hist_bins`` or an unknown key in any
-    section fails when the config is parsed, before any run trains."""
+    section or activation entry fails when the config is parsed, before any
+    run trains."""
 
     @pytest.mark.parametrize("overrides, message", [
         ({"hist_bin": 0}, "hist_bin"),
@@ -192,9 +201,15 @@ class TestDiagnosticsConfig:
         ({"diagnostics": {"hessian": True, "lanczos_k": 4.5}}, "lanczos_k"),
         ({"hist_bins": 0}, "hist_bins"),
         ({"hidden_width": 0, "sizes": [10, 20, 40]}, "hidden widths"),
+        (roster({"kind": "subnet", "base": "sine", "hiden_width": 3}), "hiden_width"),
+        (roster({"kind": "builtin", "name": "relu", "base": "sine"}), "base"),
+        (roster({"kind": "tabulated", "grid": [0, 1], "vals": [0, 1]}), "vals"),
+        (roster({"kind": "tabulated", "path": "act0.json", "grid": [0, 1]}), "grid"),
     ], ids=["unknown-top-level-key", "unknown-data-key", "unknown-data-path-key",
             "unknown-generator-key", "unknown-key", "probes", "lanczos-k", "examples",
-            "non-integer", "hist-bins", "hidden-width-beside-sizes"])
+            "non-integer", "hist-bins", "hidden-width-beside-sizes",
+            "unknown-subnet-key", "unknown-builtin-key", "unknown-tabulated-key",
+            "unknown-tabulated-path-key"])
     def test_rejected_before_training(self, tmp_path, capsys, monkeypatch, overrides, message):
         trained = []
         monkeypatch.setattr(ml, "train", lambda *a, **k: trained.append(1))
@@ -202,6 +217,46 @@ class TestDiagnosticsConfig:
         assert cli.main(["campaign", config, "--jobs", "1", "--out", str(tmp_path / "c")]) == 2
         assert message in capsys.readouterr().err
         assert not trained
+
+    def test_readme_example_parses(self, tmp_path):
+        """The README's config example, its ``//`` comments stripped, is a
+        valid config."""
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Experiment config")[1].split("```json\n")[1].split("```")[0]
+        text = re.sub(r"\s*//.*", "", block)
+        nn.save_activation_json(nn.ActivationSpec.tabulated([-1.0, 1.0], [-1.0, 1.0]),
+                                tmp_path / "act0.json")
+        (tmp_path / "exp.json").write_text(text)
+        exp = cli.parse_experiment_config(tmp_path / "exp.json")
+        assert [s.kind for s in exp.activation_types] == ["subnet", "subnet", "builtin",
+                                                          "tabulated"]
+        assert exp.diagnostics["hessian"] and exp.sizes == [10, 20, 40]
+
+
+class TestJobs:
+    @pytest.mark.parametrize("command", ["campaign", "size-sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_below_one_rejected_before_data(self, tmp_path, capsys, monkeypatch, command, jobs):
+        built = []
+        monkeypatch.setattr(cli, "build_datasets", lambda exp: built.append(1))
+        config = write_config(tmp_path, sizes=[6])
+        assert cli.main([command, config, "--jobs", jobs, "--out", str(tmp_path / "o")]) == 2
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not built
+
+    @pytest.mark.parametrize("command", ["campaign", "size-sweep"])
+    def test_unset_uses_every_core(self, tmp_path, monkeypatch, command):
+        seen = []
+
+        def spy(exp, train_set, val_set, width, jobs=1):
+            seen.append(jobs)
+            return cli.run_single(exp, train_set, val_set, "relu", 0, width),
+
+        monkeypatch.setattr(cli, "run_campaign", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        config = write_config(tmp_path, sizes=[6], variants={"relu": [2]}, n_seeds=1)
+        assert cli.main([command, config, "--out", str(tmp_path / "o")]) == 0
+        assert seen == [5]
 
 
 class TestWorkerThreads:

@@ -259,13 +259,16 @@ class TestTrain:
                 np.testing.assert_array_equal(v1, v2)
 
     def test_frozen_subnet_equals_builtin_base(self):
-        """A subnet net with frozen outer loop is the homogeneous base network."""
+        """A subnet net whose outer loop never fires is the homogeneous base
+        network."""
         train_set, val_set = self.small_sets()
         sub = nn.mlp_config(4, 6, 3, (ActivationSpec.subnet("tanh", 5),))
         base = nn.mlp_config(4, 6, 3, (ActivationSpec.builtin("tanh"),))
-        schedule = ml.TrainSchedule(batch_size=10, epochs=3, seed=9, freeze_activations=True)
+        # 3 epochs of 3 batches: the first outer event would follow step 10
+        schedule = ml.TrainSchedule(batch_size=10, epochs=3, outer_period=10, seed=9)
         p_sub, h_sub = ml.train(sub, schedule, train_set, val_set)
         p_base, h_base = ml.train(base, schedule, train_set, val_set)
+        assert len(h_sub.records) == len(h_base.records) == 9
         for (s1, e1, ph1, l1), (s2, e2, ph2, l2) in zip(h_sub.records, h_base.records):
             assert (s1, e1, ph1) == (s2, e2, ph2)
             assert abs(l1 - l2) < 1e-12
