@@ -83,6 +83,19 @@ def _check_keys(section: str, given) -> None:
         raise ConfigError(f"unknown {section} keys: {unknown}")
 
 
+def _check_sections(obj) -> None:
+    """Reject a config whose sections are not objects, or whose
+    ``activation_types`` is not a list of objects, before any is read."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"the config must be an object, got {type(obj).__name__}")
+    entries = obj.get("activation_types", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError("activation_types must be a list of objects")
+    for section in ("variants", "schedule", "data", "diagnostics"):
+        if not isinstance(obj.get(section, {}), dict):
+            raise ConfigError(f"{section} must be an object, got {type(obj[section]).__name__}")
+
+
 def _load_activation_entry(entry: dict, base_dir: str) -> nn.ActivationSpec:
     kind = entry.get("kind")
     form = "tabulated path" if kind == "tabulated" and "path" in entry else kind
@@ -116,6 +129,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
+    _check_sections(obj)
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
         roster = [_load_activation_entry(e, base_dir) for e in obj["activation_types"]]
@@ -254,6 +268,28 @@ def hessian_diagnostics(params, config, dataset, n_probes: int, k: int, n_exampl
     return est, lan, n_params
 
 
+def net_diagnostics(params, config, eval_set, hessian_set, settings: dict,
+                    trace_seed: int, lanczos_seed: int):
+    """A trained net's diagnostics, as (``dg.RunRecord`` field, value) pairs
+    yielded as each is computed, so that a caller keeps what came before a
+    failure: the ``metric`` and the participation ratio of the hidden
+    activity on ``eval_set``, then, when ``settings["hessian"]``, the
+    ``hessian_diagnostics`` pass on ``hessian_set`` with the settings'
+    probes, ``lanczos_k`` and examples."""
+    yield "metric", ml.evaluate(params, config, eval_set)
+    summary = dg.participation_ratio(nn.hidden_activity_matrix(params, config, eval_set.inputs))
+    yield "ratio", summary.ratio
+    yield "normalized_ratio", summary.normalized
+    if settings["hessian"]:
+        est, lan, n_params = hessian_diagnostics(
+            params, config, hessian_set, settings["hutchinson_probes"], settings["lanczos_k"],
+            settings["hessian_examples"], trace_seed, lanczos_seed)
+        yield "hessian_trace", est.value
+        yield "hessian_trace_stderr", est.stderr
+        yield "f_near_zero", lan.f_near_zero
+        yield "hessian_params", n_params
+
+
 def run_single(exp: ExperimentConfig, train_set, val_set, variant: str,
                replicate: int, width: int) -> dg.RunRecord:
     """Train one seeded run and compute its diagnostics."""
@@ -265,20 +301,9 @@ def run_single(exp: ExperimentConfig, train_set, val_set, variant: str,
     schedule = TrainSchedule(**exp.schedule, seed=run_seed)
     try:
         params, _ = ml.train(config, schedule, train_set, val_set)
-        record.metric = ml.evaluate(params, config, val_set)
-        activity = nn.hidden_activity_matrix(params, config, val_set.inputs)
-        summary = dg.participation_ratio(activity)
-        record.ratio = summary.ratio
-        record.normalized_ratio = summary.normalized
-        diag = exp.diagnostics
-        if diag.get("hessian"):
-            est, lan, record.hessian_params = hessian_diagnostics(
-                params, config, train_set, int(diag["hutchinson_probes"]),
-                int(diag["lanczos_k"]), int(diag["hessian_examples"]),
-                trace_seed=run_seed ^ 0x5EED, lanczos_seed=run_seed ^ 0xF00D)
-            record.hessian_trace = est.value
-            record.hessian_trace_stderr = est.stderr
-            record.f_near_zero = lan.f_near_zero
+        for name, value in net_diagnostics(params, config, val_set, train_set, exp.diagnostics,
+                                           run_seed ^ 0x5EED, run_seed ^ 0xF00D):
+            setattr(record, name, value)
     except (TrainingDiverged, dg.DegenerateActivityError) as exc:
         record.status = f"failed: {type(exc).__name__}"
         print(f"[{variant} #{replicate}] {exc}", file=sys.stderr)
@@ -342,12 +367,15 @@ def emit_campaign(exp: ExperimentConfig, records, out_dir, width: int) -> None:
                                  "n_seeds": exp.n_seeds, "campaign_seed": exp.seed})
 
 
-def _campaign_ok(exp: ExperimentConfig, records) -> bool:
-    by_variant = {v: 0 for v in exp.variants}
-    for r in records:
-        if r.status == "ok":
-            by_variant[r.variant] += 1
-    return all(count > 0 for count in by_variant.values())
+def _campaign_ok(exp: ExperimentConfig, records, where: str = "") -> bool:
+    """Whether every variant has a successful run; if not, say which have
+    none, with ``where`` after "campaign failed"."""
+    ok = {r.variant for r in records if r.status == "ok"}
+    failed = [v for v in exp.variants if v not in ok]
+    if failed:
+        print(f"campaign failed{where}: a variant has zero successful runs "
+              f"({', '.join(failed)})", file=sys.stderr)
+    return not failed
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +421,7 @@ def cmd_campaign(args) -> int:
     for fp in sorted(groups, key=lambda f: groups[f].variant):
         g = groups[fp]
         print(f"{g.variant}: n={g.count} median={g.median:.4f} mean={g.mean:.4f}")
-    if not _campaign_ok(exp, records):
-        print("campaign failed: a variant has zero successful runs", file=sys.stderr)
-        return 3
-    return 0
+    return 0 if _campaign_ok(exp, records) else 3
 
 
 def cmd_size_sweep(args) -> int:
@@ -411,15 +436,13 @@ def cmd_size_sweep(args) -> int:
     for width in exp.sizes:
         records = run_campaign(exp, train_set, val_set, width, jobs)
         emit_campaign(exp, records, os.path.join(args.out, f"size_{width}"), width)
-        all_ok = all_ok and _campaign_ok(exp, records)
+        all_ok = _campaign_ok(exp, records, f" at width {width}") and all_ok
         groups = dg.aggregate_runs(records)
         for g in sorted(groups.values(), key=lambda g: g.variant):
             combined.append((width, g))
-    with open(os.path.join(args.out, "sizes.csv"), "w", encoding="utf-8") as fh:
-        fh.write("width,variant,count,mean,median,q1,q3,lo,hi\n")
-        for width, g in combined:
-            fh.write(f"{width},{g.variant},{g.count},{g.mean!r},{g.median!r},"
-                     f"{g.q1!r},{g.q3!r},{g.lo!r},{g.hi!r}\n")
+    columns = dg.field_names(dg.GroupStats, "fingerprint", "outliers")
+    tasks.write_csv(os.path.join(args.out, "sizes.csv"), ["width"] + columns,
+                    ([width] + [getattr(g, c) for c in columns] for width, g in combined))
     return 0 if all_ok else 3
 
 
@@ -469,24 +492,10 @@ def cmd_diagnose(args) -> int:
     except FileNotFoundError:
         raise ConfigError(f"params snapshot not found: {args.params}") from None
     dataset = tasks.load_dataset(args.data)
-    result = {
-        "task": config.task,
-        "metric": ml.evaluate(params, config, dataset),
-        "theta_params": nn.theta_size(params),
-        "theta_a_params": nn.theta_a_size(params),
-    }
-    activity = nn.hidden_activity_matrix(params, config, dataset.inputs)
-    summary = dg.participation_ratio(activity)
-    result["participation_ratio"] = summary.ratio
-    result["normalized_participation_ratio"] = summary.normalized
-    if args.hessian:
-        est, lan, n_params = hessian_diagnostics(
-            params, config, dataset, args.hutchinson_probes, args.lanczos_k, args.hessian_examples,
-            trace_seed=args.seed, lanczos_seed=args.seed + 1)
-        result["hessian_trace"] = est.value
-        result["hessian_trace_stderr"] = est.stderr
-        result["f_near_zero"] = lan.f_near_zero
-        result["hessian_params"] = n_params
+    result = {"task": config.task, "theta_params": nn.theta_size(params),
+              "theta_a_params": nn.theta_a_size(params)}
+    result.update(net_diagnostics(params, config, dataset, dataset, vars(args),
+                                  args.seed, args.seed + 1))
     text = json.dumps(result, sort_keys=True, indent=1)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -7,11 +7,12 @@ tables."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from .tasks import write_csv
 
 DEFAULT_EPS_ZERO_REL = 1e-3
 HESSIAN_PARAM_CAP = 6000
@@ -327,27 +328,31 @@ def spectrum_lanczos(lossfn, params, k: int, seed=0) -> LanczosResult:
 # ---------------------------------------------------------------------------
 # Multi-run aggregation.
 
-@dataclass
+@dataclass(kw_only=True)
 class RunRecord:
-    """Outcome of one seeded training run, keyed by a configuration fingerprint."""
+    """Outcome of one seeded training run, keyed by a configuration
+    fingerprint.  The fields, in order, are the columns of ``runs.csv``."""
 
-    seed: int
-    fingerprint: str
     variant: str
-    metric: float  # validation accuracy or loss
     replicate: int = 0
+    seed: int
     width: int = 0
+    fingerprint: str
+    status: str = "ok"
+    metric: float  # validation accuracy or loss
     ratio: float = float("nan")
     normalized_ratio: float = float("nan")
     hessian_trace: float = float("nan")
     hessian_trace_stderr: float = float("nan")
     f_near_zero: float = float("nan")
     hessian_params: int = 0  # parameter count the three Hessian fields span; 0 if not run
-    status: str = "ok"
 
 
 @dataclass
 class GroupStats:
+    """One fingerprint's metric distribution; the fields, in order, are the
+    columns of ``groups.csv``."""
+
     fingerprint: str
     variant: str
     count: int
@@ -415,47 +420,24 @@ def histogram_2d(records, bins: int = 20, a_range=None) -> Hist2D:
 # ---------------------------------------------------------------------------
 # Emission.
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-RUN_CSV_COLUMNS = ("variant", "replicate", "seed", "width", "fingerprint", "status",
-                   "metric", "ratio", "normalized_ratio", "hessian_trace",
-                   "hessian_trace_stderr", "f_near_zero", "hessian_params")
+def field_names(cls, *skip) -> list:
+    """The names of a dataclass's fields, in order, less ``skip``."""
+    return [f.name for f in fields(cls) if f.name not in skip]
 
 
 def write_run_records_csv(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(RUN_CSV_COLUMNS) + "\n")
-        for r in records:
-            fh.write(",".join([
-                r.variant, str(r.replicate), str(r.seed), str(r.width), r.fingerprint, r.status,
-                _fmt(r.metric), _fmt(r.ratio), _fmt(r.normalized_ratio),
-                _fmt(r.hessian_trace), _fmt(r.hessian_trace_stderr), _fmt(r.f_near_zero),
-                str(r.hessian_params),
-            ]) + "\n")
+    write_csv(path, field_names(RunRecord), map(astuple, records))
 
 
 def write_group_stats_csv(groups: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("fingerprint,variant,count,mean,median,q1,q3,lo,hi,outliers\n")
-        for fp in sorted(groups):
-            g = groups[fp]
-            outliers = ";".join(_fmt(v) for v in g.outliers)
-            fh.write(f"{fp},{g.variant},{g.count},{_fmt(g.mean)},{_fmt(g.median)},"
-                     f"{_fmt(g.q1)},{_fmt(g.q3)},{_fmt(g.lo)},{_fmt(g.hi)},{outliers}\n")
+    write_csv(path, field_names(GroupStats), (astuple(groups[fp]) for fp in sorted(groups)))
 
 
 def write_hist2d_csv(hist: Hist2D, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("a_lo,a_hi,r_lo,r_hi,count,density\n")
-        for i in range(hist.counts.shape[0]):
-            for j in range(hist.counts.shape[1]):
-                fh.write(",".join([
-                    _fmt(hist.a_edges[i]), _fmt(hist.a_edges[i + 1]),
-                    _fmt(hist.r_edges[j]), _fmt(hist.r_edges[j + 1]),
-                    str(int(hist.counts[i, j])), _fmt(hist.density[i, j]),
-                ]) + "\n")
+    write_csv(path, ("a_lo", "a_hi", "r_lo", "r_hi", "count", "density"), (
+        (hist.a_edges[i], hist.a_edges[i + 1], hist.r_edges[j], hist.r_edges[j + 1],
+         int(hist.counts[i, j]), hist.density[i, j])
+        for i in range(hist.counts.shape[0]) for j in range(hist.counts.shape[1])))
 
 
 def write_summary_json(groups: dict, path, extra: dict = None) -> None:
@@ -463,11 +445,7 @@ def write_summary_json(groups: dict, path, extra: dict = None) -> None:
     if extra:
         obj.update(extra)
     for fp in sorted(groups):
-        g = groups[fp]
-        obj["groups"][fp] = {
-            "variant": g.variant, "count": g.count, "mean": g.mean, "median": g.median,
-            "q1": g.q1, "q3": g.q3, "lo": g.lo, "hi": g.hi, "outliers": g.outliers,
-        }
+        obj["groups"][fp] = {k: v for k, v in asdict(groups[fp]).items() if k != "fingerprint"}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")

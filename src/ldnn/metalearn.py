@@ -11,6 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
+from .tasks import write_csv
 
 SNAPSHOT_GRID = np.linspace(-6.0, 6.0, 201)
 
@@ -25,7 +26,7 @@ class TrainSchedule:
 
     ``outer_period`` is the number of inner steps between outer events;
     ``outer_steps`` how many outer updates fire per event.  ``optimizer``
-    is one of plain (SGD), momentum, adam.
+    is one of plain (SGD), adam.
     """
 
     inner_lr: float = 1e-2
@@ -76,21 +77,6 @@ class PlainSgd:
         _subtract(params, self.lr * _flat_grads(params, grads))
 
 
-class MomentumSgd:
-    def __init__(self, lr: float, beta: float = 0.9):
-        self.lr = lr
-        self.beta = beta
-        self._velocity = {}
-
-    def update(self, params, grads) -> None:
-        key = tuple(map(id, params))
-        grad = _flat_grads(params, grads)
-        v = self._velocity.get(key)
-        v = grad if v is None else self.beta * v + grad
-        self._velocity[key] = v
-        _subtract(params, self.lr * v)
-
-
 class Adam:
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -112,7 +98,7 @@ class Adam:
         _subtract(params, self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
 
 
-OPTIMIZERS = {"plain": PlainSgd, "momentum": MomentumSgd, "adam": Adam}
+OPTIMIZERS = {"plain": PlainSgd, "adam": Adam}
 
 
 def make_optimizer(kind: str, lr: float):
@@ -244,22 +230,15 @@ def write_history_csv(history: TrainHistory, path) -> None:
     """Columns: step, epoch, train_loss, val_metric, phase.  The validation
     metric appears on each epoch's final row."""
     val_by_epoch = dict(history.val)
-    last_row = {}
-    for i, (_, epoch, _, _) in enumerate(history.records):
-        last_row[epoch] = i
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,epoch,train_loss,val_metric,phase\n")
-        for i, (step, epoch, phase, loss) in enumerate(history.records):
-            metric = ""
-            if last_row.get(epoch) == i and epoch in val_by_epoch:
-                metric = repr(float(val_by_epoch[epoch]))
-            fh.write(f"{step},{epoch},{repr(float(loss))},{metric},{phase}\n")
+    last_row = {epoch: i for i, (_, epoch, _, _) in enumerate(history.records)}
+    write_csv(path, ("step", "epoch", "train_loss", "val_metric", "phase"), (
+        (step, epoch, loss,
+         val_by_epoch[epoch] if last_row[epoch] == i and epoch in val_by_epoch else "", phase)
+        for i, (step, epoch, phase, loss) in enumerate(history.records)))
 
 
 def write_activation_trace_csv(history: TrainHistory, type_idx: int, path) -> None:
     """Long-format evolution trace of one activation type: step, input, value."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,a,sigma\n")
-        for step, values in history.snapshots[type_idx]:
-            for a, v in zip(history.snapshot_grid, values):
-                fh.write(f"{step},{repr(float(a))},{repr(float(v))}\n")
+    write_csv(path, ("step", "a", "sigma"), (
+        (step, a, v) for step, values in history.snapshots[type_idx]
+        for a, v in zip(history.snapshot_grid, values)))

@@ -99,8 +99,27 @@ _HEADER_RE = re.compile(
 )
 
 
-def _fmt(x) -> str:
+def fmt_float(x) -> str:
+    """The one float rule of every artifact: the repr of the Python float,
+    the shortest text that reads back bitwise (``nan`` included)."""
     return repr(float(x))
+
+
+def _cell(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return fmt_float(x)
+    if isinstance(x, list):
+        return ";".join(map(_cell, x))
+    return str(x)
+
+
+def write_csv(path, columns, rows) -> None:
+    """A header of ``columns``, then one line per row: floats by
+    ``fmt_float``, a list joined by ';', anything else by ``str``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def save_dataset(ds: Dataset, path) -> None:
@@ -111,16 +130,16 @@ def save_dataset(ds: Dataset, path) -> None:
                  f"{kind_key}={ds.output_dim} M={ds.n_examples}\n")
         if ds.norm is not None:
             fh.write("#norm in_mean={} in_std={} out_mean={} out_std={}\n".format(
-                ",".join(_fmt(v) for v in ds.norm.input_mean),
-                ",".join(_fmt(v) for v in ds.norm.input_std),
-                ",".join(_fmt(v) for v in ds.norm.target_mean),
-                ",".join(_fmt(v) for v in ds.norm.target_std)))
+                ",".join(fmt_float(v) for v in ds.norm.input_mean),
+                ",".join(fmt_float(v) for v in ds.norm.input_std),
+                ",".join(fmt_float(v) for v in ds.norm.target_mean),
+                ",".join(fmt_float(v) for v in ds.norm.target_std)))
         for i in range(ds.n_examples):
-            row = [_fmt(v) for v in ds.inputs[i]]
+            row = [fmt_float(v) for v in ds.inputs[i]]
             if ds.task == "classification":
                 row.append(str(int(ds.targets[i])))
             else:
-                row.extend(_fmt(v) for v in ds.targets[i])
+                row.extend(fmt_float(v) for v in ds.targets[i])
             fh.write(",".join(row) + "\n")
 
 

@@ -543,6 +543,9 @@ def accuracy_campaign_config(seed):
         "variants": {"mix": [0, 1], "type1": [0], "type2": [1], "relu": [2]},
         "data": {"m_train": 4000, "m_val": 1000, "seed": DATA_SEED},
         "schedule": MNIST1D_SCHEDULE,
+        # Criterion 8's settings; it reads this campaign's records.
+        "diagnostics": {"hessian": True, "hutchinson_probes": 64,
+                        "lanczos_k": 32, "hessian_examples": 1000},
     }
 
 
@@ -604,19 +607,19 @@ def test_criterion_10_participation_coupling(accuracy_campaign):
 # Criterion 8: flatness of the found minima.
 
 @pytest.mark.slow
-def test_criterion_8_flatness(tmp_path):
-    cfg = accuracy_campaign_config(CAMPAIGN_SEED)
-    cfg["n_seeds"] = N_SEEDS_FLATNESS
-    cfg["variants"] = {"mix": [0, 1], "type1": [0], "type2": [1]}
-    cfg["diagnostics"] = {"hessian": True, "hutchinson_probes": 64,
-                          "lanczos_k": 32, "hessian_examples": 1000}
-    exp, train, val = experiment(tmp_path, cfg)
-    records = cli.run_campaign(exp, train, val, CAMPAIGN_WIDTH, jobs=os.cpu_count() or 1)
+def test_criterion_8_flatness(accuracy_campaign):
+    # Criterion 7's campaign at CAMPAIGN_SEED: its replicates 0-9 of these
+    # variants are the runs a campaign of N_SEEDS_FLATNESS seeds would train.
+    variants = accuracy_campaign_config(CAMPAIGN_SEED)["variants"]
+    variants = {v: variants[v] for v in ("mix", "type1", "type2")}
+    records = [r for r in accuracy_campaign[0][3]
+               if r.variant in variants and r.replicate < N_SEEDS_FLATNESS]
+    assert len(records) == len(variants) * N_SEEDS_FLATNESS
     # The Hessian spans theta (40*20+20 + 20*10+10 = 1030 weights) and theta_a
     # (151 per sine/50 sub-network), so mix has two sub-networks' worth more
     # diagonal entries to sum than type1 or type2.  Compare the mean curvature
     # tr(H)/P, which like the fraction f does not grow with P.
-    n_params = {v: 1030 + 151 * len(types) for v, types in cfg["variants"].items()}
+    n_params = {v: 1030 + 151 * len(types) for v, types in variants.items()}
     assert all(r.hessian_params == n_params[r.variant] for r in records)
     med_raw = medians(records, key=lambda r: r.hessian_trace)
     med_tr = medians(records, key=lambda r: r.hessian_trace / r.hessian_params)

@@ -205,11 +205,14 @@ class TestDiagnosticsConfig:
         (roster({"kind": "builtin", "name": "relu", "base": "sine"}), "base"),
         (roster({"kind": "tabulated", "grid": [0, 1], "vals": [0, 1]}), "vals"),
         (roster({"kind": "tabulated", "path": "act0.json", "grid": [0, 1]}), "grid"),
+        ({"activation_types": ["relu"]}, "activation_types must be a list of objects"),
+        ({"variants": [[0]]}, "variants must be an object"),
     ], ids=["unknown-top-level-key", "unknown-data-key", "unknown-data-path-key",
             "unknown-generator-key", "unknown-key", "probes", "lanczos-k", "examples",
             "non-integer", "hist-bins", "hidden-width-beside-sizes",
             "unknown-subnet-key", "unknown-builtin-key", "unknown-tabulated-key",
-            "unknown-tabulated-path-key"])
+            "unknown-tabulated-path-key", "activation-entry-not-object",
+            "variants-not-object"])
     def test_rejected_before_training(self, tmp_path, capsys, monkeypatch, overrides, message):
         trained = []
         monkeypatch.setattr(ml, "train", lambda *a, **k: trained.append(1))
@@ -318,6 +321,43 @@ class TestWorkerThreads:
             run()
         assert seen["map"] == dict.fromkeys(cli.BLAS_THREAD_VARS, "1")
         assert dict(os.environ) == before
+
+
+DEAD = {**roster({"kind": "builtin", "name": "zero"}), "variants": {"relu": [1], "dead": [2]}}
+
+
+class TestFailedRuns:
+    """The ``zero`` builtin gives every ``dead`` run a constant hidden layer,
+    so its participation ratio raises ``DegenerateActivityError``."""
+
+    def test_failed_rows_keep_the_metric(self, tmp_path, capsys):
+        out, ref = tmp_path / "camp", tmp_path / "ref"
+        config = write_config(tmp_path, **DEAD)
+        assert cli.main(["campaign", config, "--jobs", "1", "--out", str(out)]) == 3
+        assert ("campaign failed: a variant has zero successful runs (dead)"
+                in capsys.readouterr().err)
+        alone = write_config(tmp_path, name="alone.json", **{**DEAD, "variants": {"relu": [1]}})
+        assert cli.main(["campaign", alone, "--jobs", "1", "--out", str(ref)]) == 0
+        lines = (out / "runs.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        failed = [row for row in rows if row["variant"] == "dead"]
+        assert len(failed) == 2
+        for row in failed:
+            assert row["status"] == "failed: DegenerateActivityError"
+            # A constant net predicts one class of the balanced 30 examples.
+            assert row["metric"] == "0.1"
+            assert row["ratio"] == row["normalized_ratio"] == "nan"
+        kept = [line for line in lines if line.startswith("relu,")]
+        assert [lines[0]] + kept == (ref / "runs.csv").read_text().splitlines()
+
+    def test_size_sweep_names_the_width(self, tmp_path, capsys):
+        config = write_config(tmp_path, **DEAD, sizes=[4, 6], n_seeds=1)
+        assert cli.main(["size-sweep", config, "--jobs", "1", "--out", str(tmp_path / "s")]) == 3
+        err = capsys.readouterr().err
+        for width in (4, 6):
+            assert (f"campaign failed at width {width}: a variant has zero successful runs "
+                    "(dead)") in err
 
 
 class TestSizeSweep:
@@ -436,9 +476,10 @@ class TestExportAndReuse:
         assert cli.main(["diagnose", str(params_path), "--data", str(data_dir / "val.dsv"),
                          "--out", str(report)]) == 0
         obj = json.loads(report.read_text())
-        assert {"metric", "participation_ratio", "normalized_participation_ratio",
-                "theta_params", "theta_a_params"} <= obj.keys()
-        assert 1.0 <= obj["participation_ratio"] <= 6.0
+        assert obj.keys() == {"task", "metric", "ratio", "normalized_ratio",
+                              "theta_params", "theta_a_params"}
+        assert 1.0 <= obj["ratio"] <= 6.0
+        assert obj["normalized_ratio"] == obj["ratio"] / 6
 
     def test_diagnose_hessian_spans_all_parameters(self, tmp_path):
         _, params_path = self.train_once(tmp_path)
@@ -450,6 +491,9 @@ class TestExportAndReuse:
                          "--hessian", "--probes", "4", "--k", "6", "--hessian-examples", "20",
                          "--out", str(report)]) == 0
         obj = json.loads(report.read_text())
+        assert obj.keys() == {"task", "metric", "ratio", "normalized_ratio", "theta_params",
+                              "theta_a_params", "hessian_trace", "hessian_trace_stderr",
+                              "f_near_zero", "hessian_params"}
         assert obj["hessian_params"] == obj["theta_params"] + obj["theta_a_params"]
         assert np.isfinite(obj["hessian_trace"]) and 0.0 <= obj["f_near_zero"] <= 1.0
 

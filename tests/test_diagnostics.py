@@ -1,5 +1,7 @@
 """Participation ratio and Hessian instruments against independent oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -442,6 +444,23 @@ class TestAggregation:
 
 
 class TestEmission:
+    def test_runs_header_is_the_record_fields(self, tmp_path):
+        dg.write_run_records_csv([], tmp_path / "runs.csv")
+        header = (tmp_path / "runs.csv").read_text().splitlines()[0].split(",")
+        assert header == [f.name for f in dataclasses.fields(dg.RunRecord)]
+        assert header == ["variant", "replicate", "seed", "width", "fingerprint", "status",
+                          "metric", "ratio", "normalized_ratio", "hessian_trace",
+                          "hessian_trace_stderr", "f_near_zero", "hessian_params"]
+
+    def test_outliers_joined_by_semicolon(self, tmp_path):
+        g = dg.GroupStats(fingerprint="fpA", variant="mix", count=5, mean=0.5, median=0.5,
+                          q1=0.4, q3=0.6, lo=0.1, hi=0.1 + 0.2, outliers=[0.1, 0.1 + 0.2])
+        dg.write_group_stats_csv({"fpA": g}, tmp_path / "groups.csv")
+        lines = (tmp_path / "groups.csv").read_text().splitlines()
+        assert lines == ["fingerprint,variant,count,mean,median,q1,q3,lo,hi,outliers",
+                         "fpA,mix,5,0.5,0.5,0.4,0.6,0.1,0.30000000000000004,"
+                         "0.1;0.30000000000000004"]
+
     def test_csv_and_json_writers(self, tmp_path):
         recs = [dg.RunRecord(seed=i, fingerprint="fpA", variant="mix", metric=0.5 + 0.01 * i,
                              normalized_ratio=0.4, ratio=40.0) for i in range(4)]

@@ -88,13 +88,6 @@ class TestOptimizers:
         ml.PlainSgd(0.1).update([w], grads)
         assert float(w.data) == pytest.approx(0.4, abs=1e-15)
 
-    def test_momentum_accumulates(self):
-        w = Tensor(np.zeros(1), requires_grad=True)
-        opt = ml.MomentumSgd(0.1, beta=0.5)
-        opt.update([w], {w: np.array([1.0])})
-        opt.update([w], {w: np.array([1.0])})
-        np.testing.assert_allclose(w.data, [-0.1 - 0.15])
-
     def test_adam_first_step_size(self):
         # bias correction makes the first step lr-sized regardless of gradient scale
         w = Tensor(np.zeros(1), requires_grad=True)
@@ -123,9 +116,6 @@ class TestOptimizers:
                 m, v, n = state[i]
                 if kind == "plain":
                     ref[i] = ref[i] - 0.01 * g
-                elif kind == "momentum":
-                    m = g if n == 0 else 0.9 * m + g
-                    ref[i] = ref[i] - 0.01 * m
                 else:
                     m = 0.9 * m + (1 - 0.9) * g
                     v = 0.999 * v + (1 - 0.999) * g * g

@@ -91,6 +91,16 @@ class TestContainer:
             tasks.load_dataset(path)
 
 
+class TestWriteCsv:
+    @pytest.mark.parametrize("x", [0.1 + 0.2, 5e-324, float("nan"), np.float64(1 / 3)],
+                             ids=["sum", "subnormal", "nan", "np-float64"])
+    def test_float_reads_back_bitwise(self, tmp_path, x):
+        tasks.write_csv(tmp_path / "f.csv", ("x",), [(x,)])
+        header, cell = (tmp_path / "f.csv").read_text().splitlines()
+        assert header == "x"
+        assert np.float64(float(cell)).tobytes() == np.float64(x).tobytes()
+
+
 class TestSynthetic1D:
     def test_degenerate_params_nearest_template_perfect(self):
         quiet = Synth1DParams(translate=0, shear=0.0, noise_smooth=0.0, noise_white=0.0)
