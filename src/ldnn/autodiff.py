@@ -158,12 +158,12 @@ def interp_values(x, grid, values) -> np.ndarray:
     return np.interp(np.asarray(x, dtype=np.float64), grid, values)
 
 
-def interp_slopes(x, grid, values) -> np.ndarray:
-    """Derivative of ``interp_values`` w.r.t. ``x``: segment slope inside, 0 outside."""
+def interp_slopes(x, grid, seg) -> np.ndarray:
+    """Derivative of ``interp_values`` w.r.t. ``x``: segment slope inside, 0
+    outside, for the segment slopes ``seg`` (np.diff(values) / np.diff(grid))
+    of the table on ``grid``."""
     x = np.asarray(x, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    seg = (values[1:] - values[:-1]) / (grid[1:] - grid[:-1])
     pos = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, len(seg) - 1)
     out = seg[pos]
     out = np.where((x < grid[0]) | (x > grid[-1]), 0.0, out)
@@ -307,7 +307,8 @@ def activation_values(spec, x: np.ndarray, subnet=None):
     of ``activation``, and the plain-array path of ``nn.eval_activation``.
 
     ``spec`` has a ``kind``: "builtin" applies ``UNARY[spec.name]``;
-    "tabulated" interpolates ``spec.values`` on ``spec.grid``; "subnet"
+    "tabulated" interpolates the values of ``spec.table`` (grid, values,
+    segment slopes) on its grid; "subnet"
     adds the residual w2 . tanh(w1 a + b1) + b2 to the builtin
     ``spec.name``, with the tensors of ``subnet`` (w1, b1, w2 of length h,
     scalar b2).  Returns the values and, for a subnet, its (x.size, h)
@@ -316,7 +317,8 @@ def activation_values(spec, x: np.ndarray, subnet=None):
     if spec.kind == "builtin":
         return UNARY[spec.name][0](x), None
     if spec.kind == "tabulated":
-        return interp_values(x, spec.grid, spec.values), None
+        grid, values, _ = spec.table
+        return interp_values(x, grid, values), None
     if spec.kind == "subnet":
         if subnet is None:
             raise ValueError("subnet activation needs its parameter block")
@@ -352,7 +354,8 @@ def _tanh_slope(hid_rows, overwrite: bool):
 def _slope(spec, x):
     """The first derivative of a builtin or tabulated spec at ``x``."""
     if spec.kind == "tabulated":
-        return interp_slopes(x, spec.grid, spec.values)
+        grid, _, seg = spec.table
+        return interp_slopes(x, grid, seg)
     return UNARY[spec.name][1](x)
 
 

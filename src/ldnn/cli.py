@@ -110,13 +110,18 @@ def _load_activation_entry(entry: dict, base_dir: str) -> nn.ActivationSpec:
     return nn.spec_from_dict(entry)
 
 
+def _is_int(value) -> bool:
+    """Whether a parsed JSON value is an integer: a boolean is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_hessian_settings(values: dict, names: dict) -> None:
     """Reject a Hessian setting in ``values`` that is not an integer at or
     above its ``HESSIAN_LEAST``; the message gives the setting as ``names``
     calls it."""
     for key, least in HESSIAN_LEAST.items():
         value = values[key]
-        if not isinstance(value, int) or value < least:
+        if not _is_int(value) or value < least:
             raise ConfigError(f"{names[key]} must be an integer >= {least}, got {value!r}")
 
 
@@ -139,7 +144,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
             n_seeds=int(obj.get("n_seeds", 1)),
             hidden_width=int(obj.get("hidden_width", 100)),
             activation_types=roster,
-            variants={str(k): [int(i) for i in v] for k, v in obj["variants"].items()},
+            variants=dict(obj["variants"]),
             schedule=dict(obj.get("schedule", {})),
             data=dict(obj.get("data", {})),
             sizes=[int(w) for w in obj["sizes"]] if "sizes" in obj else None,
@@ -162,6 +167,9 @@ def parse_experiment_config(path) -> ExperimentConfig:
     if not exp.variants:
         raise ConfigError("no variants declared")
     for name, types in exp.variants.items():
+        if not (isinstance(types, list) and all(_is_int(t) for t in types)):
+            raise ConfigError(f"variant {name!r} must be a list of integer type indices, "
+                              f"got {types!r}")
         if not types:
             raise ConfigError(f"variant {name!r} lists no activation types")
         for t in types:
@@ -169,6 +177,9 @@ def parse_experiment_config(path) -> ExperimentConfig:
                 raise ConfigError(f"variant {name!r} references undeclared type {t}")
     if any(w < 1 for w in [exp.hidden_width] + (exp.sizes or [])):
         raise ConfigError("hidden widths must be positive")
+    if not isinstance(exp.diagnostics["hessian"], bool):
+        raise ConfigError("diagnostics.hessian must be true or false, "
+                          f"got {exp.diagnostics['hessian']!r}")
     check_hessian_settings(exp.diagnostics, {key: f"diagnostics.{key}" for key in HESSIAN_LEAST})
     if exp.hist_bins < 1:
         raise ConfigError("hist_bins must be >= 1")

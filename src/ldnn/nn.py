@@ -29,7 +29,9 @@ class ActivationSpec:
     kind "subnet": base(a) plus a trainable tanh-hidden residual network,
     scalar in, scalar out.
     kind "tabulated": linear interpolation on a fixed grid, clamped to the
-    endpoint values outside it.
+    endpoint values outside it.  Its ``table`` holds the grid, the values
+    and the segment slopes as read-only arrays, built once here for every
+    forward and backward pass.
     """
 
     kind: str
@@ -37,6 +39,15 @@ class ActivationSpec:
     hidden_width: int = 0
     grid: tuple = ()
     values: tuple = ()
+    table: tuple = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.kind == "tabulated":
+            grid, values = (np.array(t, dtype=np.float64) for t in (self.grid, self.values))
+            table = (grid, values, np.diff(values) / np.diff(grid))
+            for arr in table:
+                arr.flags.writeable = False
+            object.__setattr__(self, "table", table)
 
     @staticmethod
     def builtin(name: str) -> "ActivationSpec":
@@ -65,10 +76,13 @@ class ActivationSpec:
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Hidden layer width plus the per-neuron activation-type assignment."""
+    """Hidden layer width plus the per-neuron activation-type assignment.
+    ``plan`` holds (type, columns) per type, in ascending order: a slice of
+    every column when one type fills the layer, else a read-only index array."""
 
     width: int
     assignment: tuple
+    plan: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.width < 1:
@@ -76,6 +90,14 @@ class LayerSpec:
         object.__setattr__(self, "assignment", tuple(int(i) for i in self.assignment))
         if len(self.assignment) != self.width:
             raise ValueError(f"assignment length {len(self.assignment)} != width {self.width}")
+        assignment = np.asarray(self.assignment)
+        types = np.unique(assignment).tolist()
+        plan = tuple((t, slice(None) if len(types) == 1 else np.flatnonzero(assignment == t))
+                     for t in types)
+        for _, cols in plan:
+            if isinstance(cols, np.ndarray):
+                cols.flags.writeable = False
+        object.__setattr__(self, "plan", plan)
 
 
 def mixed_assignment(width: int, type_indices) -> tuple:
@@ -198,10 +220,7 @@ def init_network(config: NetworkConfig, seed=None) -> ParamSet:
 
 def _layer_groups(layer: LayerSpec, config: NetworkConfig, params: ParamSet) -> list:
     """(columns, spec, subnet parameters) of each activation type in a layer."""
-    assignment = np.asarray(layer.assignment)
-    types = np.unique(assignment).tolist()
-    return [(slice(None) if len(types) == 1 else np.flatnonzero(assignment == t),
-             config.activations[t], params.subnets.get(t)) for t in types]
+    return [(cols, config.activations[t], params.subnets.get(t)) for t, cols in layer.plan]
 
 
 def forward(params: ParamSet, config: NetworkConfig, batch):

@@ -4,6 +4,7 @@ container format both are stored in."""
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -250,24 +251,35 @@ class Synth1DParams:
     smooth_width: int = 7
 
 
+@functools.lru_cache(maxsize=16)
+def _render_grids(p: Synth1DParams):
+    """The read-only arrays every example of ``p`` shares: the normalized
+    Hann kernel of the smooth noise, the shear ramp, the resampling probe
+    and the canvas index grid."""
+    kernel = np.hanning(p.smooth_width + 2)[1:-1]
+    kernel /= kernel.sum()
+    grids = (kernel, np.linspace(-1.0, 1.0, p.canvas),
+             np.linspace(0.0, p.canvas - 1.0, p.n_points), np.arange(p.canvas))
+    for g in grids:
+        g.flags.writeable = False
+    return grids
+
+
 def _render_example(template: np.ndarray, rng, p: Synth1DParams) -> np.ndarray:
+    kernel, ramp, probe, index = _render_grids(p)
     canvas = np.zeros(p.canvas)
     center = (p.canvas - template.size) // 2
     offset = center + int(rng.integers(-p.translate, p.translate + 1))
     offset = min(max(offset, 0), p.canvas - template.size)
     canvas[offset:offset + template.size] = template
-    slope = rng.uniform(-p.shear, p.shear)
-    canvas = canvas + slope * np.linspace(-1.0, 1.0, p.canvas)
+    canvas += rng.uniform(-p.shear, p.shear) * ramp
+    # Both noises are drawn whether or not the smooth one is used, so the
+    # stream, and every later example, is the same for any noise_smooth.
+    smooth, white = rng.standard_normal((2, p.canvas))
     if p.noise_smooth > 0:
-        kernel = np.hanning(p.smooth_width + 2)[1:-1]
-        kernel /= kernel.sum()
-        canvas = canvas + p.noise_smooth * np.convolve(
-            rng.standard_normal(p.canvas), kernel, mode="same")
-    else:
-        rng.standard_normal(p.canvas)  # keep the stream layout fixed
-    canvas = canvas + p.noise_white * rng.standard_normal(p.canvas)
-    probe = np.linspace(0.0, p.canvas - 1.0, p.n_points)
-    return np.interp(probe, np.arange(p.canvas), canvas)
+        canvas += p.noise_smooth * np.convolve(smooth, kernel, mode="same")
+    canvas += p.noise_white * white
+    return np.interp(probe, index, canvas)
 
 
 def generate_synthetic_1d(seed, m: int, params: Synth1DParams = Synth1DParams(),

@@ -207,12 +207,18 @@ class TestDiagnosticsConfig:
         (roster({"kind": "tabulated", "path": "act0.json", "grid": [0, 1]}), "grid"),
         ({"activation_types": ["relu"]}, "activation_types must be a list of objects"),
         ({"variants": [[0]]}, "variants must be an object"),
+        ({"diagnostics": {"hessian": "no"}}, "diagnostics.hessian must be true or false"),
+        ({"diagnostics": {"hessian": True, "lanczos_k": True}}, "lanczos_k"),
+        ({"variants": {"mix": "01"}}, "variant 'mix' must be a list of integer"),
+        ({"variants": {"mix": [0, 1.7]}}, "variant 'mix' must be a list of integer"),
+        ({"variants": {"mix": ["1"]}}, "variant 'mix' must be a list of integer"),
     ], ids=["unknown-top-level-key", "unknown-data-key", "unknown-data-path-key",
             "unknown-generator-key", "unknown-key", "probes", "lanczos-k", "examples",
             "non-integer", "hist-bins", "hidden-width-beside-sizes",
             "unknown-subnet-key", "unknown-builtin-key", "unknown-tabulated-key",
             "unknown-tabulated-path-key", "activation-entry-not-object",
-            "variants-not-object"])
+            "variants-not-object", "hessian-not-boolean", "boolean-setting",
+            "variant-string", "variant-float", "variant-string-index"])
     def test_rejected_before_training(self, tmp_path, capsys, monkeypatch, overrides, message):
         trained = []
         monkeypatch.setattr(ml, "train", lambda *a, **k: trained.append(1))

@@ -210,7 +210,8 @@ def reference_layer(z, layer, config, params):
             y = elementwise(zc, *ad.UNARY[spec.name][:2])
         elif spec.kind == "tabulated":
             y = elementwise(zc, lambda v: ad.interp_values(v, spec.grid, spec.values),
-                            lambda v: ad.interp_slopes(v, spec.grid, spec.values))
+                            lambda v: ad.interp_slopes(
+                                v, spec.grid, np.diff(spec.values) / np.diff(spec.grid)))
         else:
             sp = params.subnets[t]
             h = sp.hidden_width
