@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,12 +32,12 @@ class ConfigError(Exception):
 @dataclass
 class ExperimentConfig:
     task: str
-    seed: int
-    n_seeds: int
-    hidden_width: int
     activation_types: list
     variants: dict  # name -> list of type indices, interleaved over the layer
-    schedule: dict
+    seed: int = 0
+    n_seeds: int = 1
+    hidden_width: int = 100
+    schedule: dict = field(default_factory=dict)
     data: dict = field(default_factory=dict)
     sizes: list = None
     diagnostics: dict = field(default_factory=dict)
@@ -53,76 +54,94 @@ DIAG_DEFAULTS = {
     "lanczos_k": 32,
     "hessian_examples": 1000,
 }
-
-# The least value of each Hessian setting, whether it comes from the
-# ``diagnostics`` block or from its ``diagnose`` flag.
-HESSIAN_LEAST = {"hutchinson_probes": 2, "lanczos_k": 1, "hessian_examples": 1}
 DIAGNOSE_FLAGS = {"hutchinson_probes": "--probes", "lanczos_k": "--k",
                   "hessian_examples": "--hessian-examples"}
 
-# The keys each config section accepts.  ``data`` holds either the two
-# dataset paths or the generator settings of the task, and a tabulated
-# activation either its table or the path of its file.
+
+def _typed(defaults) -> dict:
+    """Each (key, default) pair's key with the type of its default."""
+    return {key: type(default) for key, default in defaults}
+
+
+# The keys each config section accepts, with the JSON type of each value:
+# ``int`` is an integer and ``float`` any number, neither a boolean;
+# ``[kind]`` is a list of ``kind``, and ``(kind, least)`` a ``kind`` of at
+# least ``least``.  Other ranges are checked where the value is used.
+# ``data`` holds either the two dataset paths or the generator settings of
+# the task, and a tabulated activation either its table or the path of its
+# file.  ``schedule.seed`` is each run's own seed, so no config sets it.
 CONFIG_KEYS = {
-    "top-level": ("task", "seed", "n_seeds", "hidden_width", "sizes", "activation_types",
-                  "variants", "schedule", "data", "diagnostics", "hist_bins"),
-    "data (paths)": ("train_path", "val_path"),
-    "data (mnist1d)": ("seed", "params", "m_train", "m_val"),
-    "data (vdp)": ("seed", "x0", "v0", "mu", "h", "n_transient", "n_samples", "val_fraction"),
-    "diagnostics": tuple(DIAG_DEFAULTS),
-    "activation (builtin)": ("kind", "name"),
-    "activation (subnet)": ("kind", "base", "hidden_width"),
-    "activation (tabulated)": ("kind", "grid", "values"),
-    "activation (tabulated path)": ("kind", "path"),
+    "top-level": {"task": str, "seed": int, "n_seeds": (int, 1), "hidden_width": (int, 1),
+                  "sizes": [(int, 1)], "activation_types": [dict], "variants": dict,
+                  "schedule": dict, "data": dict, "diagnostics": dict, "hist_bins": (int, 1)},
+    "schedule": _typed((f.name, f.default) for f in fields(TrainSchedule) if f.name != "seed"),
+    "data (paths)": {"train_path": str, "val_path": str},
+    "data (mnist1d)": {"seed": int, "params": dict, "m_train": int, "m_val": int},
+    "data.params": _typed((f.name, f.default) for f in fields(tasks.Synth1DParams)),
+    "data (vdp)": _typed((name, p.default) for name, p in
+                         inspect.signature(tasks.build_vdp_forecast_dataset).parameters.items()),
+    "diagnostics": {"hessian": bool, "hutchinson_probes": (int, 2), "lanczos_k": (int, 1),
+                    "hessian_examples": (int, 1)},
+    "activation (builtin)": {"kind": str, "name": str},
+    "activation (subnet)": {"kind": str, "base": str, "hidden_width": int},
+    "activation (tabulated)": {"kind": str, "grid": [float], "values": [float]},
+    "activation (tabulated path)": {"kind": str, "path": str},
 }
 
+# How a message names a value of each JSON type, alone and as list items.
+JSON_NAMES = {bool: ("true or false", "booleans"), int: ("an integer", "integers"),
+              float: ("a number", "numbers"), str: ("a string", "strings"),
+              dict: ("an object", "objects")}
 
-def _check_keys(section: str, given) -> None:
-    unknown = sorted(set(given) - set(CONFIG_KEYS[section]))
+
+def _fits(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
+    if isinstance(kind, tuple):
+        return _fits(value, kind[0]) and value >= kind[1]
+    if isinstance(value, bool) or kind is bool:
+        return type(value) is kind
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _describe(kind, plural: bool = False) -> str:
+    if isinstance(kind, list):
+        return "a list of " + _describe(kind[0], plural=True)
+    if isinstance(kind, tuple):
+        return f"{_describe(kind[0], plural)} >= {kind[1]}"
+    return JSON_NAMES[kind][plural]
+
+
+def _check_value(name: str, value, kind) -> None:
+    """Reject ``value`` unless it is of ``kind``, a type of ``CONFIG_KEYS``."""
+    if not _fits(value, kind):
+        raise ConfigError(f"{name} must be {_describe(kind)}, got {value!r}")
+
+
+def check_section(section: str, given: dict, prefix: str = "", names: dict | None = None) -> None:
+    """Reject a key of ``given`` that ``CONFIG_KEYS[section]`` lacks, or a
+    value not of its key's type.  A message names a key as ``names`` maps
+    it, or else as ``prefix`` followed by the key."""
+    table = CONFIG_KEYS[section]
+    unknown = sorted(set(given) - set(table))
     if unknown:
         raise ConfigError(f"unknown {section} keys: {unknown}")
+    for key, value in given.items():
+        _check_value(names[key] if names else prefix + key, value, table[key])
 
 
-def _check_sections(obj) -> None:
-    """Reject a config whose sections are not objects, or whose
-    ``activation_types`` is not a list of objects, before any is read."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"the config must be an object, got {type(obj).__name__}")
-    entries = obj.get("activation_types", [])
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ConfigError("activation_types must be a list of objects")
-    for section in ("variants", "schedule", "data", "diagnostics"):
-        if not isinstance(obj.get(section, {}), dict):
-            raise ConfigError(f"{section} must be an object, got {type(obj[section]).__name__}")
-
-
-def _load_activation_entry(entry: dict, base_dir: str) -> nn.ActivationSpec:
+def _load_activation_entry(entry: dict, prefix: str, base_dir: str) -> nn.ActivationSpec:
     kind = entry.get("kind")
     form = "tabulated path" if kind == "tabulated" and "path" in entry else kind
     section = f"activation ({form})"
     if section in CONFIG_KEYS:  # an unknown kind fails in spec_from_dict
-        _check_keys(section, entry)
+        check_section(section, entry, prefix)
     if form == "tabulated path":
         path = entry["path"]
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         return nn.load_activation_json(path)
     return nn.spec_from_dict(entry)
-
-
-def _is_int(value) -> bool:
-    """Whether a parsed JSON value is an integer: a boolean is not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def check_hessian_settings(values: dict, names: dict) -> None:
-    """Reject a Hessian setting in ``values`` that is not an integer at or
-    above its ``HESSIAN_LEAST``; the message gives the setting as ``names``
-    calls it."""
-    for key, least in HESSIAN_LEAST.items():
-        value = values[key]
-        if not _is_int(value) or value < least:
-            raise ConfigError(f"{names[key]} must be an integer >= {least}, got {value!r}")
 
 
 def parse_experiment_config(path) -> ExperimentConfig:
@@ -134,63 +153,41 @@ def parse_experiment_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
-    _check_sections(obj)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"the config must be an object, got {type(obj).__name__}")
+    check_section("top-level", obj)
+    if obj.get("task") not in ("mnist1d", "vdp"):
+        raise ConfigError(f"task must be mnist1d or vdp, got {obj.get('task')!r}")
+    data = obj.get("data", {})
+    data_form = "paths" if "train_path" in data or "val_path" in data else obj["task"]
+    check_section(f"data ({data_form})", data, "data.")
+    check_section("data.params", data.get("params", {}), "data.params.")
+    check_section("schedule", obj.get("schedule", {}), "schedule.")
+    check_section("diagnostics", obj.get("diagnostics", {}), "diagnostics.")
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
-        roster = [_load_activation_entry(e, base_dir) for e in obj["activation_types"]]
-        exp = ExperimentConfig(
-            task=obj["task"],
-            seed=int(obj.get("seed", 0)),
-            n_seeds=int(obj.get("n_seeds", 1)),
-            hidden_width=int(obj.get("hidden_width", 100)),
-            activation_types=roster,
-            variants=dict(obj["variants"]),
-            schedule=dict(obj.get("schedule", {})),
-            data=dict(obj.get("data", {})),
-            sizes=[int(w) for w in obj["sizes"]] if "sizes" in obj else None,
-            diagnostics={**DIAG_DEFAULTS, **obj.get("diagnostics", {})},
-            hist_bins=int(obj.get("hist_bins", 20)),
-        )
+        roster = [_load_activation_entry(entry, f"activation_types[{i}].", base_dir)
+                  for i, entry in enumerate(obj["activation_types"])]
+        exp = ExperimentConfig(**{**obj, "activation_types": roster,
+                                  "diagnostics": {**DIAG_DEFAULTS, **obj.get("diagnostics", {})}})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc!r}") from None
 
-    if exp.task not in ("mnist1d", "vdp"):
-        raise ConfigError(f"task must be mnist1d or vdp, got {exp.task!r}")
-    data_form = "paths" if "train_path" in exp.data or "val_path" in exp.data else exp.task
-    for section, given in (("top-level", obj), (f"data ({data_form})", exp.data),
-                           ("diagnostics", exp.diagnostics)):
-        _check_keys(section, given)
-    if exp.n_seeds < 1:
-        raise ConfigError("n_seeds must be >= 1")
     if not exp.activation_types:
         raise ConfigError("activation roster is empty")
     if not exp.variants:
         raise ConfigError("no variants declared")
     for name, types in exp.variants.items():
-        if not (isinstance(types, list) and all(_is_int(t) for t in types)):
-            raise ConfigError(f"variant {name!r} must be a list of integer type indices, "
-                              f"got {types!r}")
+        _check_value(f"variant {name!r}", types, [int])
         if not types:
             raise ConfigError(f"variant {name!r} lists no activation types")
         for t in types:
             if not 0 <= t < len(exp.activation_types):
                 raise ConfigError(f"variant {name!r} references undeclared type {t}")
-    if any(w < 1 for w in [exp.hidden_width] + (exp.sizes or [])):
-        raise ConfigError("hidden widths must be positive")
-    if not isinstance(exp.diagnostics["hessian"], bool):
-        raise ConfigError("diagnostics.hessian must be true or false, "
-                          f"got {exp.diagnostics['hessian']!r}")
-    check_hessian_settings(exp.diagnostics, {key: f"diagnostics.{key}" for key in HESSIAN_LEAST})
-    if exp.hist_bins < 1:
-        raise ConfigError("hist_bins must be >= 1")
     try:
         TrainSchedule(**exp.schedule)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad schedule: {exc}") from None
-    try:
-        tasks.Synth1DParams(**exp.data.get("params", {}))
-    except TypeError as exc:
-        raise ConfigError(f"bad data.params: {exc}") from None
     return exp
 
 
@@ -206,25 +203,13 @@ def build_datasets(exp: ExperimentConfig):
         except KeyError as exc:
             raise ConfigError(f"data section needs both train_path and val_path ({exc})") from None
         return train, val
-    data_seed = int(data.get("seed", exp.seed))
-    if exp.task == "mnist1d":
-        params = tasks.Synth1DParams(**data.get("params", {}))
-        s_train, s_val = np.random.SeedSequence(data_seed).spawn(2)
-        train = tasks.generate_synthetic_1d(s_train, int(data.get("m_train", 4000)),
-                                            params, split="train")
-        val = tasks.generate_synthetic_1d(s_val, int(data.get("m_val", 1000)),
-                                          params, split="val")
-        return train, val
-    return tasks.build_vdp_forecast_dataset(
-        x0=float(data.get("x0", 0.5)),
-        v0=float(data.get("v0", 0.0)),
-        mu=float(data.get("mu", 2.7)),
-        h=float(data.get("h", 0.01)),
-        n_transient=int(data.get("n_transient", 5000)),
-        n_samples=int(data.get("n_samples", 4000)),
-        seed=data_seed,
-        val_fraction=float(data.get("val_fraction", 0.2)),
-    )
+    if exp.task == "vdp":
+        return tasks.build_vdp_forecast_dataset(**{"seed": exp.seed, **data})
+    params = tasks.Synth1DParams(**data.get("params", {}))
+    s_train, s_val = np.random.SeedSequence(data.get("seed", exp.seed)).spawn(2)
+    train = tasks.generate_synthetic_1d(s_train, data.get("m_train", 4000), params, split="train")
+    val = tasks.generate_synthetic_1d(s_val, data.get("m_val", 1000), params, split="val")
+    return train, val
 
 
 def network_config(exp: ExperimentConfig, variant_types, width: int,
@@ -370,9 +355,11 @@ def emit_campaign(exp: ExperimentConfig, records, out_dir, width: int) -> None:
     dg.write_group_stats_csv(groups, os.path.join(out_dir, "groups.csv"))
     a_range = (0.0, 1.0) if exp.net_task == "classification" else None
     ok = [r for r in records if r.status == "ok"]
+    hist_path = os.path.join(out_dir, "hist2d.csv")
     if ok:
-        hist = dg.histogram_2d(ok, bins=exp.hist_bins, a_range=a_range)
-        dg.write_hist2d_csv(hist, os.path.join(out_dir, "hist2d.csv"))
+        dg.write_hist2d_csv(dg.histogram_2d(ok, bins=exp.hist_bins, a_range=a_range), hist_path)
+    elif os.path.exists(hist_path):  # an earlier campaign's, not of these runs
+        os.remove(hist_path)
     dg.write_summary_json(groups, os.path.join(out_dir, "summary.json"),
                           extra={"task": exp.task, "width": width,
                                  "n_seeds": exp.n_seeds, "campaign_seed": exp.seed})
@@ -497,7 +484,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    check_hessian_settings(vars(args), DIAGNOSE_FLAGS)
+    check_section("diagnostics", {key: getattr(args, key) for key in DIAGNOSE_FLAGS},
+                  names=DIAGNOSE_FLAGS)
     try:
         params, config = nn.load_params(args.params)
     except FileNotFoundError:

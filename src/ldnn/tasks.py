@@ -347,6 +347,9 @@ def build_vdp_forecast_dataset(x0: float = 0.5, v0: float = 0.0, mu: float = 2.7
     stored affine transform."""
     if n_transient < 1 or n_samples < 1:
         raise ValueError("n_transient and n_samples must be positive")
+    n_val = int(round(val_fraction * n_samples))
+    if not 0 < n_val < n_samples:
+        raise ValueError(f"val_fraction {val_fraction} of {n_samples} samples leaves a split empty")
     state = integrate(OscillatorState(x0, v0, 0.0), h, n_transient, mu)
     states = np.empty((n_samples + 1, 2))
     states[0] = (state.x, state.v)
@@ -356,7 +359,6 @@ def build_vdp_forecast_dataset(x0: float = 0.5, v0: float = 0.0, mu: float = 2.7
 
     x_raw, y_raw = states[:-1], states[1:]
     perm = np.random.default_rng(seed).permutation(n_samples)
-    n_val = int(round(val_fraction * n_samples))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
     norm = AffineNorm(

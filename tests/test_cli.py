@@ -184,6 +184,11 @@ def roster(entry):
                                  {"kind": "builtin", "name": "relu"}, entry]}
 
 
+def readme_config_section():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("### Experiment config")[1].split("\n## ")[0]
+
+
 class TestDiagnosticsConfig:
     """A bad ``diagnostics`` block, ``hist_bins`` or an unknown key in any
     section or activation entry fails when the config is parsed, before any
@@ -200,7 +205,7 @@ class TestDiagnosticsConfig:
         ({"diagnostics": {"hessian": True, "hessian_examples": 0}}, "hessian_examples"),
         ({"diagnostics": {"hessian": True, "lanczos_k": 4.5}}, "lanczos_k"),
         ({"hist_bins": 0}, "hist_bins"),
-        ({"hidden_width": 0, "sizes": [10, 20, 40]}, "hidden widths"),
+        ({"hidden_width": 0, "sizes": [10, 20, 40]}, "hidden_width must be an integer >= 1"),
         (roster({"kind": "subnet", "base": "sine", "hiden_width": 3}), "hiden_width"),
         (roster({"kind": "builtin", "name": "relu", "base": "sine"}), "base"),
         (roster({"kind": "tabulated", "grid": [0, 1], "vals": [0, 1]}), "vals"),
@@ -212,13 +217,34 @@ class TestDiagnosticsConfig:
         ({"variants": {"mix": "01"}}, "variant 'mix' must be a list of integer"),
         ({"variants": {"mix": [0, 1.7]}}, "variant 'mix' must be a list of integer"),
         ({"variants": {"mix": ["1"]}}, "variant 'mix' must be a list of integer"),
+        ({"hidden_width": 20.9}, "hidden_width must be an integer"),
+        ({"n_seeds": "3"}, "n_seeds must be an integer"),
+        ({"hist_bins": True}, "hist_bins must be an integer"),
+        ({"sizes": [4.5, "6"]}, "sizes must be a list of integers"),
+        ({"data": {"m_train": 60.5, "m_val": 30}}, "data.m_train must be an integer"),
+        ({"data": {"m_train": 60, "m_val": 30, "params": {"canvas": 48.5}}},
+         "data.params.canvas must be an integer"),
+        ({"data": {"train_path": 5, "val_path": "v.dsv"}}, "data.train_path must be a string"),
+        ({"schedule": {"epochs": True}}, "schedule.epochs must be an integer"),
+        ({"schedule": {"outer_period": 2.5}}, "schedule.outer_period must be an integer"),
+        ({"schedule": {"epochs": 2, "seed": 3}}, "unknown schedule keys: ['seed']"),
+        (roster({"kind": "subnet", "base": "sine", "hidden_width": 3.5}),
+         "activation_types[2].hidden_width must be an integer"),
+        (roster({"kind": "tabulated", "grid": ["0", "1"], "values": [0, 1]}),
+         "activation_types[2].grid must be a list of numbers"),
+        ({"task": "vdp", "data": {"mu": "2", "n_transient": 10, "n_samples": 50}},
+         "data.mu must be a number"),
     ], ids=["unknown-top-level-key", "unknown-data-key", "unknown-data-path-key",
             "unknown-generator-key", "unknown-key", "probes", "lanczos-k", "examples",
             "non-integer", "hist-bins", "hidden-width-beside-sizes",
             "unknown-subnet-key", "unknown-builtin-key", "unknown-tabulated-key",
             "unknown-tabulated-path-key", "activation-entry-not-object",
             "variants-not-object", "hessian-not-boolean", "boolean-setting",
-            "variant-string", "variant-float", "variant-string-index"])
+            "variant-string", "variant-float", "variant-string-index",
+            "float-width", "string-seeds", "boolean-bins", "non-integer-sizes",
+            "float-m-train", "float-canvas", "numeric-path", "boolean-epochs",
+            "float-outer-period", "schedule-seed", "float-subnet-width", "string-grid",
+            "string-mu"])
     def test_rejected_before_training(self, tmp_path, capsys, monkeypatch, overrides, message):
         trained = []
         monkeypatch.setattr(ml, "train", lambda *a, **k: trained.append(1))
@@ -230,8 +256,7 @@ class TestDiagnosticsConfig:
     def test_readme_example_parses(self, tmp_path):
         """The README's config example, its ``//`` comments stripped, is a
         valid config."""
-        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        block = readme.split("### Experiment config")[1].split("```json\n")[1].split("```")[0]
+        block = readme_config_section().split("```json\n")[1].split("```")[0]
         text = re.sub(r"\s*//.*", "", block)
         nn.save_activation_json(nn.ActivationSpec.tabulated([-1.0, 1.0], [-1.0, 1.0]),
                                 tmp_path / "act0.json")
@@ -240,6 +265,11 @@ class TestDiagnosticsConfig:
         assert [s.kind for s in exp.activation_types] == ["subnet", "subnet", "builtin",
                                                           "tabulated"]
         assert exp.diagnostics["hessian"] and exp.sizes == [10, 20, 40]
+
+    def test_readme_names_every_config_key(self):
+        section = readme_config_section()
+        assert [(name, key) for name, table in cli.CONFIG_KEYS.items() for key in table
+                if f"`{key}`" not in section] == []
 
 
 class TestJobs:
@@ -356,6 +386,18 @@ class TestFailedRuns:
             assert row["ratio"] == row["normalized_ratio"] == "nan"
         kept = [line for line in lines if line.startswith("relu,")]
         assert [lines[0]] + kept == (ref / "runs.csv").read_text().splitlines()
+
+    def test_no_successful_run_removes_old_histogram(self, tmp_path):
+        """A campaign with no successful run leaves no ``hist2d.csv`` of an
+        earlier campaign beside its own tables."""
+        out = tmp_path / "camp"
+        relu = write_config(tmp_path, **{**DEAD, "variants": {"relu": [1]}}, n_seeds=1)
+        assert cli.main(["campaign", relu, "--jobs", "1", "--out", str(out)]) == 0
+        assert (out / "hist2d.csv").exists()
+        dead = write_config(tmp_path, name="dead.json", **{**DEAD, "variants": {"dead": [2]}},
+                            n_seeds=1)
+        assert cli.main(["campaign", dead, "--jobs", "1", "--out", str(out)]) == 3
+        assert sorted(os.listdir(out)) == ["groups.csv", "runs.csv", "summary.json"]
 
     def test_size_sweep_names_the_width(self, tmp_path, capsys):
         config = write_config(tmp_path, **DEAD, sizes=[4, 6], n_seeds=1)

@@ -269,6 +269,13 @@ class TestForecastDataset:
         assert train.split == "train" and val.split == "val"
         assert train.norm is val.norm
 
+    @pytest.mark.parametrize("val_fraction", [-0.1, 0, 0.995, 1.0, 1.5])
+    def test_empty_split_rejected_before_integrating(self, monkeypatch, val_fraction):
+        monkeypatch.setattr(tasks, "integrate", lambda *a: pytest.fail("integrated"))
+        with pytest.raises(ValueError, match="val_fraction"):
+            tasks.build_vdp_forecast_dataset(n_transient=200, n_samples=50, seed=1,
+                                             val_fraction=val_fraction)
+
     def test_divergence_guard(self):
         with pytest.raises(tasks.TrajectoryDiverged):
             tasks.build_vdp_forecast_dataset(x0=1.0, v0=0.0, mu=2.7, h=1.5,
