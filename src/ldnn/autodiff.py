@@ -126,9 +126,6 @@ class GradientMap:
     def __len__(self) -> int:
         return len(self._grads)
 
-    def items(self):
-        return self._grads.items()
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -153,13 +150,8 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def interp_values(x, grid, values) -> np.ndarray:
-    """Piecewise-linear interpolation with clamped-constant extrapolation."""
-    return np.interp(np.asarray(x, dtype=np.float64), grid, values)
-
-
 def interp_slopes(x, grid, seg) -> np.ndarray:
-    """Derivative of ``interp_values`` w.r.t. ``x``: segment slope inside, 0
+    """Derivative of ``np.interp`` w.r.t. ``x``: segment slope inside, 0
     outside, for the segment slopes ``seg`` (np.diff(values) / np.diff(grid))
     of the table on ``grid``."""
     x = np.asarray(x, dtype=np.float64)
@@ -318,7 +310,7 @@ def activation_values(spec, x: np.ndarray, subnet=None):
         return UNARY[spec.name][0](x), None
     if spec.kind == "tabulated":
         grid, values, _ = spec.table
-        return interp_values(x, grid, values), None
+        return np.interp(x, grid, values), None
     if spec.kind == "subnet":
         if subnet is None:
             raise ValueError("subnet activation needs its parameter block")
@@ -744,18 +736,6 @@ def flatten_params(params) -> np.ndarray:
     if not params:
         return np.zeros(0)
     return np.concatenate([p.data.ravel() for p in params])
-
-
-def assign_flat(params, vec: np.ndarray) -> None:
-    """Write a flat vector back into the parameter tensors, in order."""
-    vec = np.asarray(vec, dtype=np.float64)
-    offset = 0
-    for p in params:
-        n = p.data.size
-        p.assign(vec[offset:offset + n].reshape(p.data.shape))
-        offset += n
-    if offset != vec.size:
-        raise ShapeError(f"assign_flat: vector has {vec.size} entries, parameters hold {offset}")
 
 
 def hvp_operator(lossfn, params):

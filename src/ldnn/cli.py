@@ -41,7 +41,6 @@ class ExperimentConfig:
     data: dict = field(default_factory=dict)
     sizes: list = None
     diagnostics: dict = field(default_factory=dict)
-    hist_bins: int = 20
 
     @property
     def net_task(self) -> str:
@@ -73,11 +72,10 @@ def _typed(defaults) -> dict:
 CONFIG_KEYS = {
     "top-level": {"task": str, "seed": int, "n_seeds": (int, 1), "hidden_width": (int, 1),
                   "sizes": [(int, 1)], "activation_types": [dict], "variants": dict,
-                  "schedule": dict, "data": dict, "diagnostics": dict, "hist_bins": (int, 1)},
+                  "schedule": dict, "data": dict, "diagnostics": dict},
     "schedule": _typed((f.name, f.default) for f in fields(TrainSchedule) if f.name != "seed"),
     "data (paths)": {"train_path": str, "val_path": str},
-    "data (mnist1d)": {"seed": int, "params": dict, "m_train": int, "m_val": int},
-    "data.params": _typed((f.name, f.default) for f in fields(tasks.Synth1DParams)),
+    "data (mnist1d)": {"seed": int, "m_train": int, "m_val": int},
     "data (vdp)": _typed((name, p.default) for name, p in
                          inspect.signature(tasks.build_vdp_forecast_dataset).parameters.items()),
     "diagnostics": {"hessian": bool, "hutchinson_probes": (int, 2), "lanczos_k": (int, 1),
@@ -161,7 +159,6 @@ def parse_experiment_config(path) -> ExperimentConfig:
     data = obj.get("data", {})
     data_form = "paths" if "train_path" in data or "val_path" in data else obj["task"]
     check_section(f"data ({data_form})", data, "data.")
-    check_section("data.params", data.get("params", {}), "data.params.")
     check_section("schedule", obj.get("schedule", {}), "schedule.")
     check_section("diagnostics", obj.get("diagnostics", {}), "diagnostics.")
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -202,13 +199,16 @@ def build_datasets(exp: ExperimentConfig):
             val = tasks.load_dataset(data["val_path"])
         except KeyError as exc:
             raise ConfigError(f"data section needs both train_path and val_path ({exc})") from None
+        if {train.task, val.task} != {exp.net_task}:
+            raise ConfigError(f"task {exp.task} needs {exp.net_task} data, but "
+                              f"{data['train_path']} holds {train.task} data and "
+                              f"{data['val_path']} holds {val.task} data")
         return train, val
     if exp.task == "vdp":
         return tasks.build_vdp_forecast_dataset(**{"seed": exp.seed, **data})
-    params = tasks.Synth1DParams(**data.get("params", {}))
     s_train, s_val = np.random.SeedSequence(data.get("seed", exp.seed)).spawn(2)
-    train = tasks.generate_synthetic_1d(s_train, data.get("m_train", 4000), params, split="train")
-    val = tasks.generate_synthetic_1d(s_val, data.get("m_val", 1000), params, split="val")
+    train = tasks.generate_synthetic_1d(s_train, data.get("m_train", 4000), split="train")
+    val = tasks.generate_synthetic_1d(s_val, data.get("m_val", 1000), split="val")
     return train, val
 
 
@@ -357,7 +357,7 @@ def emit_campaign(exp: ExperimentConfig, records, out_dir, width: int) -> None:
     ok = [r for r in records if r.status == "ok"]
     hist_path = os.path.join(out_dir, "hist2d.csv")
     if ok:
-        dg.write_hist2d_csv(dg.histogram_2d(ok, bins=exp.hist_bins, a_range=a_range), hist_path)
+        dg.write_hist2d_csv(dg.histogram_2d(ok, a_range=a_range), hist_path)
     elif os.path.exists(hist_path):  # an earlier campaign's, not of these runs
         os.remove(hist_path)
     dg.write_summary_json(groups, os.path.join(out_dir, "summary.json"),

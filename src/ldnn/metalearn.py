@@ -101,12 +101,6 @@ class Adam:
 OPTIMIZERS = {"plain": PlainSgd, "adam": Adam}
 
 
-def make_optimizer(kind: str, lr: float):
-    if kind not in OPTIMIZERS:
-        raise ValueError(f"optimizer must be one of {tuple(OPTIMIZERS)}")
-    return OPTIMIZERS[kind](lr)
-
-
 # ---------------------------------------------------------------------------
 # Losses.
 
@@ -132,7 +126,7 @@ def inner_step(params, config, batch, schedule: TrainSchedule, optimizer=None) -
     xb, yb = batch
     loss, value = _checked_loss(params, config, xb, yb, "inner step")
     grads = ad.backward(loss, wrt=params.theta())
-    opt = optimizer if optimizer is not None else make_optimizer(schedule.optimizer, schedule.inner_lr)
+    opt = optimizer if optimizer is not None else OPTIMIZERS[schedule.optimizer](schedule.inner_lr)
     opt.update(params.theta(), grads)
     return value
 
@@ -144,7 +138,7 @@ def outer_step(params, config, batch, schedule: TrainSchedule, optimizer=None) -
     xb, yb = batch
     loss, value = _checked_loss(params, config, xb, yb, "outer step")
     grads = ad.backward(loss, wrt=params.theta_a())
-    opt = optimizer if optimizer is not None else make_optimizer(schedule.optimizer, schedule.outer_lr)
+    opt = optimizer if optimizer is not None else OPTIMIZERS[schedule.optimizer](schedule.outer_lr)
     opt.update(params.theta_a(), grads)
     return value
 
@@ -193,8 +187,8 @@ def train(config, schedule: TrainSchedule, train_set, val_set):
     params = nn.init_network(config, seed=s_init)
     rng = np.random.default_rng(s_shuffle)
 
-    inner_opt = make_optimizer(schedule.optimizer, schedule.inner_lr)
-    outer_opt = make_optimizer(schedule.optimizer, schedule.outer_lr)
+    inner_opt = OPTIMIZERS[schedule.optimizer](schedule.inner_lr)
+    outer_opt = OPTIMIZERS[schedule.optimizer](schedule.outer_lr)
 
     type_indices = sorted({idx for layer in config.layers for idx in layer.assignment})
     n_batches = (m + schedule.batch_size - 1) // schedule.batch_size

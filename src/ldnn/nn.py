@@ -59,9 +59,9 @@ class ActivationSpec:
     def subnet(base: str, hidden_width: int = 50) -> "ActivationSpec":
         if base not in ad.UNARY:
             raise ValueError(f"unknown base activation {base!r}")
-        if hidden_width < 1:
-            raise ValueError("subnet hidden_width must be positive")
-        return ActivationSpec(kind="subnet", name=base, hidden_width=int(hidden_width))
+        if type(hidden_width) is not int or hidden_width < 1:
+            raise ValueError(f"subnet hidden_width must be an integer >= 1, got {hidden_width!r}")
+        return ActivationSpec(kind="subnet", name=base, hidden_width=hidden_width)
 
     @staticmethod
     def tabulated(grid, values) -> "ActivationSpec":
@@ -190,6 +190,12 @@ def theta_a_size(params: ParamSet) -> int:
     return sum(t.data.size for t in params.theta_a())
 
 
+def subnet_types(config: NetworkConfig) -> list:
+    """The subnet activation types that some layer uses, ascending."""
+    return sorted({idx for layer in config.layers for idx in layer.assignment
+                   if config.activations[idx].kind == "subnet"})
+
+
 def init_network(config: NetworkConfig, seed=None) -> ParamSet:
     """Draw layer weights uniform in +-1/sqrt(fan_in); zero each subnet's
     output layer so every learned activation starts exactly at its base."""
@@ -202,9 +208,7 @@ def init_network(config: NetworkConfig, seed=None) -> ParamSet:
                                      requires_grad=True))
         params.biases.append(Tensor(rng.uniform(-bound, bound, size=width),
                                     requires_grad=True))
-    subnet_types = sorted({idx for layer in config.layers for idx in layer.assignment
-                           if config.activations[idx].kind == "subnet"})
-    for t in subnet_types:
+    for t in subnet_types(config):
         h = config.activations[t].hidden_width
         params.subnets[t] = SubnetParams(
             w1=Tensor(rng.uniform(-1.0, 1.0, size=h), requires_grad=True),
@@ -269,8 +273,6 @@ def extract_tabulated(spec: ActivationSpec, subnet_params: SubnetParams = None,
 
 def hidden_activity_matrix(params: ParamSet, config: NetworkConfig, inputs) -> np.ndarray:
     """Post-activation activity of each hidden neuron on each input, shape (N, M)."""
-    if hasattr(inputs, "inputs"):
-        inputs = inputs.inputs
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.shape[0] == 0:
         raise ValueError("empty input set")
@@ -299,14 +301,29 @@ def save_activation_json(spec: ActivationSpec, path, provenance: dict = None) ->
         fh.write("\n")
 
 
-def load_activation_json(path) -> ActivationSpec:
+def _read_json_object(path, key: str, value: str, what: str) -> dict:
+    """The JSON object in the file ``path``, which maps ``key`` to ``value``;
+    else a ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("kind") != "tabulated":
-        raise ValueError(f"{path}: not a tabulated activation file")
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict) or obj.get(key) != value:
+        raise ValueError(f"{path}: not {what}")
+    return obj
+
+
+def load_activation_json(path) -> ActivationSpec:
+    """Read a tabulated activation file; a malformed one raises ValueError
+    naming ``path``."""
+    obj = _read_json_object(path, "kind", "tabulated", "a tabulated activation file")
     if obj.get("extrapolation", "clamp") != "clamp":
         raise ValueError(f"{path}: unsupported extrapolation rule {obj['extrapolation']!r}")
-    return ActivationSpec.tabulated(obj["grid"], obj["values"])
+    try:
+        return ActivationSpec.tabulated(obj["grid"], obj["values"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad tabulated activation ({exc!r})") from None
 
 
 def spec_to_dict(spec: ActivationSpec) -> dict:
@@ -375,24 +392,29 @@ def save_params(params: ParamSet, config: NetworkConfig, path) -> None:
 
 
 def load_params(path):
-    """Read a snapshot back; returns (ParamSet, NetworkConfig)."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("format") != "ldnn-params-v1":
-        raise ValueError(f"{path}: not a parameter snapshot")
-    config = config_from_dict(obj["config"])
-    params = ParamSet()
-    for entry in obj["weights"]:
-        params.weights.append(Tensor(np.asarray(entry["data"]).reshape(entry["shape"]),
-                                     requires_grad=True))
-    for entry in obj["biases"]:
-        params.biases.append(Tensor(np.asarray(entry["data"]).reshape(entry["shape"]),
-                                    requires_grad=True))
-    for key, sp in obj["subnets"].items():
-        params.subnets[int(key)] = SubnetParams(
-            w1=Tensor(sp["w1"], requires_grad=True),
-            b1=Tensor(sp["b1"], requires_grad=True),
-            w2=Tensor(sp["w2"], requires_grad=True),
-            b2=Tensor(np.asarray(sp["b2"]), requires_grad=True),
-        )
+    """Read a snapshot back; returns (ParamSet, NetworkConfig).  A malformed
+    snapshot, or one without the sub-network of a subnet type its layers
+    use, raises ValueError naming ``path``."""
+    obj = _read_json_object(path, "format", "ldnn-params-v1", "a parameter snapshot")
+    try:
+        config = config_from_dict(obj["config"])
+        params = ParamSet()
+        for entry in obj["weights"]:
+            params.weights.append(Tensor(np.asarray(entry["data"]).reshape(entry["shape"]),
+                                         requires_grad=True))
+        for entry in obj["biases"]:
+            params.biases.append(Tensor(np.asarray(entry["data"]).reshape(entry["shape"]),
+                                        requires_grad=True))
+        for key, sp in obj["subnets"].items():
+            params.subnets[int(key)] = SubnetParams(
+                w1=Tensor(sp["w1"], requires_grad=True),
+                b1=Tensor(sp["b1"], requires_grad=True),
+                w2=Tensor(sp["w2"], requires_grad=True),
+                b2=Tensor(np.asarray(sp["b2"]), requires_grad=True),
+            )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed parameter snapshot ({exc!r})") from None
+    missing = sorted(set(subnet_types(config)) - set(params.subnets))
+    if missing:
+        raise ValueError(f"{path}: no sub-network for subnet types {missing}")
     return params, config

@@ -19,6 +19,7 @@ import ldnn.metalearn as ml
 from ldnn import cli, nn, tasks
 from ldnn.autodiff import Tensor
 from ldnn.nn import ActivationSpec
+from oracles import dense_fd_hessian, numeric_grad
 
 # Campaign scales, pinned by the criteria.
 N_SEEDS_ACCURACY = 20   # criterion 7 / 10
@@ -69,17 +70,6 @@ def means(records, key=lambda r: r.metric):
 
 # ---------------------------------------------------------------------------
 # Criterion 1: gradient correctness of every op, 100 random cases each.
-
-def numeric_grad(f, x, h=1e-5):
-    g = np.zeros_like(x)
-    flat, gflat = x.ravel(), g.ravel()
-    for i in range(flat.size):
-        xp, xm = flat.copy(), flat.copy()
-        xp[i] += h
-        xm[i] -= h
-        gflat[i] = (f(xp.reshape(x.shape)) - f(xm.reshape(x.shape))) / (2 * h)
-    return g
-
 
 def max_rel_err(analytic, numeric):
     denom = max(1.0, np.abs(analytic).max(initial=0.0), np.abs(numeric).max(initial=0.0))
@@ -406,28 +396,6 @@ def tiny_net():
         grads = ad.backward(lossfn())
         opt.update(params.theta(), grads)
     return lossfn, params.theta()
-
-
-def dense_fd_hessian(lossfn, params, h=5e-4):
-    """Second differences of loss values only; independent of the tape."""
-    p0 = ad.flatten_params(params)
-    n = p0.size
-
-    def loss_at(vec):
-        ad.assign_flat(params, vec)
-        with ad.no_grad():
-            return float(lossfn().data)
-
-    H = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ei, ej = np.zeros(n), np.zeros(n)
-            ei[i], ej[j] = h, h
-            H[i, j] = H[j, i] = (
-                loss_at(p0 + ei + ej) - loss_at(p0 + ei - ej)
-                - loss_at(p0 - ei + ej) + loss_at(p0 - ei - ej)) / (4 * h * h)
-    ad.assign_flat(params, p0)
-    return H
 
 
 def test_criterion_2_hvp_and_exact_hessian(tiny_net):

@@ -9,21 +9,7 @@ import ldnn.autodiff as ad
 from ldnn import nn
 from ldnn.autodiff import GradientMap, ShapeError, Tensor
 from ldnn.nn import ActivationSpec
-
-
-def numeric_grad(f, x, h=1e-5):
-    """Central-difference gradient of a scalar function of one array."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    flat = x.ravel()
-    gflat = g.ravel()
-    for i in range(flat.size):
-        xp = flat.copy()
-        xm = flat.copy()
-        xp[i] += h
-        xm[i] -= h
-        gflat[i] = (f(xp.reshape(x.shape)) - f(xm.reshape(x.shape))) / (2 * h)
-    return g
+from oracles import assign_flat, dense_fd_hessian, numeric_grad
 
 
 def rel_err(a, n):
@@ -549,7 +535,7 @@ class TestHessianVectorProduct:
         p0 = ad.flatten_params(params)
 
         def grad_at(vec):
-            ad.assign_flat(params, vec)
+            assign_flat(params, vec)
             grads = ad.backward(lossfn())
             return np.concatenate([grads[p].ravel() for p in params])
 
@@ -559,7 +545,7 @@ class TestHessianVectorProduct:
         try:
             return (4 * diff(h / 2) - diff(h)) / 3
         finally:
-            ad.assign_flat(params, p0)
+            assign_flat(params, p0)
 
     MIX = (ActivationSpec.subnet("sine", 7), ActivationSpec.subnet("tanh", 5),
            ActivationSpec.builtin("relu"))
@@ -625,34 +611,9 @@ class TestHessianVectorProduct:
 
         return lossfn, params
 
-    @staticmethod
-    def dense_fd_hessian(lossfn, params, h=5e-4):
-        """Brute-force Hessian from loss values only (independent of backward)."""
-        p0 = ad.flatten_params(params)
-        n = p0.size
-
-        def loss_at(vec):
-            ad.assign_flat(params, vec)
-            with ad.no_grad():
-                val = float(lossfn().data)
-            return val
-
-        H = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                ei = np.zeros(n)
-                ej = np.zeros(n)
-                ei[i] = h
-                ej[j] = h
-                val = (loss_at(p0 + ei + ej) - loss_at(p0 + ei - ej)
-                       - loss_at(p0 - ei + ej) + loss_at(p0 - ei - ej)) / (4 * h * h)
-                H[i, j] = H[j, i] = val
-        ad.assign_flat(params, p0)
-        return H
-
     def test_hvp_matches_dense_fd_hessian(self):
         lossfn, params = self.tiny_net()
-        H = self.dense_fd_hessian(lossfn, params)
+        H = dense_fd_hessian(lossfn, params)
         n = H.shape[0]
         assert n <= 50
         rng = np.random.default_rng(34)

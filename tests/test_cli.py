@@ -190,15 +190,16 @@ def readme_config_section():
 
 
 class TestDiagnosticsConfig:
-    """A bad ``diagnostics`` block, ``hist_bins`` or an unknown key in any
-    section or activation entry fails when the config is parsed, before any
-    run trains."""
+    """A bad ``diagnostics`` block or an unknown key in any section or
+    activation entry fails when the config is parsed, before any run
+    trains."""
 
     @pytest.mark.parametrize("overrides, message", [
         ({"hist_bin": 0}, "hist_bin"),
         ({"data": {"m_trian": 60, "m_val": 30, "seed": 7}}, "m_trian"),
         ({"data": {"train_path": "t.dsv", "val_path": "v.dsv", "m_train": 60}}, "m_train"),
-        ({"data": {"m_train": 60, "m_val": 30, "params": {"n_pointz": 40}}}, "n_pointz"),
+        ({"data": {"m_train": 60, "m_val": 30, "params": {"n_pointz": 40}}},
+         "unknown data (mnist1d) keys: ['params']"),
         ({"diagnostics": {"hessian": True, "hesian_examples": 20}}, "hesian_examples"),
         ({"diagnostics": {"hessian": True, "hutchinson_probes": 1}}, "hutchinson_probes"),
         ({"diagnostics": {"hessian": True, "lanczos_k": 0}}, "lanczos_k"),
@@ -219,11 +220,11 @@ class TestDiagnosticsConfig:
         ({"variants": {"mix": ["1"]}}, "variant 'mix' must be a list of integer"),
         ({"hidden_width": 20.9}, "hidden_width must be an integer"),
         ({"n_seeds": "3"}, "n_seeds must be an integer"),
-        ({"hist_bins": True}, "hist_bins must be an integer"),
+        ({"hist_bins": True}, "unknown top-level keys: ['hist_bins']"),
         ({"sizes": [4.5, "6"]}, "sizes must be a list of integers"),
         ({"data": {"m_train": 60.5, "m_val": 30}}, "data.m_train must be an integer"),
         ({"data": {"m_train": 60, "m_val": 30, "params": {"canvas": 48.5}}},
-         "data.params.canvas must be an integer"),
+         "unknown data (mnist1d) keys: ['params']"),
         ({"data": {"train_path": 5, "val_path": "v.dsv"}}, "data.train_path must be a string"),
         ({"schedule": {"epochs": True}}, "schedule.epochs must be an integer"),
         ({"schedule": {"outer_period": 2.5}}, "schedule.outer_period must be an integer"),
@@ -252,6 +253,21 @@ class TestDiagnosticsConfig:
         assert cli.main(["campaign", config, "--jobs", "1", "--out", str(tmp_path / "c")]) == 2
         assert message in capsys.readouterr().err
         assert not trained
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"hist_bins": 20}, "unknown top-level keys: ['hist_bins']"),
+        ({"data": {"params": {}}}, "unknown data (mnist1d) keys: ['params']"),
+    ], ids=["hist-bins", "data-params"])
+    def test_removed_settings_rejected_before_data(self, tmp_path, capsys, monkeypatch,
+                                                   overrides, message):
+        """The histogram's bins and the generator's knobs are not settings:
+        a config that sets either fails before any dataset is built."""
+        built = []
+        monkeypatch.setattr(cli, "build_datasets", lambda *a: built.append(1))
+        config = write_config(tmp_path, **overrides)
+        assert cli.main(["campaign", config, "--jobs", "1", "--out", str(tmp_path / "c")]) == 2
+        assert message in capsys.readouterr().err
+        assert not built
 
     def test_readme_example_parses(self, tmp_path):
         """The README's config example, its ``//`` comments stripped, is a
@@ -468,6 +484,66 @@ class TestGenData:
         assert cli.main(["gen-data", "mnist1d-synth", "--m", str(m), "--out", str(out)]) == 2
         assert "--m must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("task, generator, holds", [
+        ("vdp", "mnist1d-synth", "classification"), ("mnist1d", "vdp", "regression")])
+    def test_config_task_must_match_the_files(self, tmp_path, capsys, monkeypatch, task,
+                                              generator, holds):
+        """Both files' header task is checked against the config's before
+        any run trains, and the error names the task and both files."""
+        trained = []
+        monkeypatch.setattr(ml, "train", lambda *a, **k: trained.append(1))
+        data = tmp_path / "d"
+        assert cli.main(["gen-data", generator, "--m", "40", "--out", str(data)]) == 0
+        train, val = data / "train.dsv", data / "val.dsv"
+        config = write_config(tmp_path, task=task,
+                              data={"train_path": str(train), "val_path": str(val)})
+        assert cli.main(["campaign", config, "--jobs", "1", "--out", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert f"task {task} needs" in err
+        assert f"{train} holds {holds} data and {val} holds {holds} data" in err
+        assert not trained
+
+
+class TestMalformedFiles:
+    """A malformed snapshot or activation file is a config error (exit 2)
+    that names the file, never a traceback or a truncated value."""
+
+    @pytest.mark.parametrize("command, edit, message", [
+        (["export-activation", "--type", "0"], lambda obj: {"format": obj["format"]},
+         "malformed parameter snapshot (KeyError('config'))"),
+        (["diagnose"], lambda obj: {k: v for k, v in obj.items() if k != "biases"},
+         "malformed parameter snapshot (KeyError('biases'))"),
+        (["export-activation", "--type", "0"], lambda obj: {**obj, "subnets": {}},
+         "no sub-network for subnet types [0]"),
+        (["diagnose"], lambda obj: {**obj, "config": {**obj["config"], "activations": [
+            {"kind": "subnet", "base": "sine", "hidden_width": 3.7},
+            {"kind": "builtin", "name": "relu"}]}},
+         "subnet hidden_width must be an integer >= 1, got 3.7"),
+    ], ids=["format-only", "no-biases", "no-subnets", "float-subnet-width"])
+    def test_bad_snapshot(self, tmp_path, capsys, command, edit, message):
+        data = tmp_path / "d"
+        assert cli.main(["gen-data", "mnist1d-synth", "--m", "10", "--out", str(data)]) == 0
+        config = nn.mlp_config(40, 4, 10, (nn.ActivationSpec.subnet("sine", 3),
+                                           nn.ActivationSpec.builtin("relu")))
+        path = tmp_path / "params.json"
+        nn.save_params(nn.init_network(config), config, path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        extra = (["--data", str(data / "val.dsv")] if command == ["diagnose"]
+                 else ["--out", str(tmp_path / "act.json")])
+        capsys.readouterr()
+        assert cli.main(command[:1] + [str(path)] + command[1:] + extra) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and message in err
+
+    def test_activation_file_holding_a_list(self, tmp_path, capsys):
+        act = tmp_path / "act0.json"
+        act.write_text("[0, 1]\n")
+        config = write_config(tmp_path, activation_types=[{"kind": "tabulated",
+                                                           "path": "act0.json"}],
+                              variants={"frozen": [0]})
+        assert cli.main(["train", config, "--out", str(tmp_path / "out")]) == 2
+        assert f"{act}: not a tabulated activation file" in capsys.readouterr().err
 
 
 class TestExportAndReuse:

@@ -94,10 +94,6 @@ class TestOptimizers:
         ml.Adam(0.01).update([w], {w: np.array([1e-3])})
         np.testing.assert_allclose(w.data, [-0.01], rtol=1e-4)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ml.make_optimizer("adagrad", 0.1)
-
     @pytest.mark.parametrize("kind", ml.OPTIMIZERS)
     def test_group_update_matches_per_tensor_reference(self, kind):
         """One update over a group of tensors gives bitwise the values of
@@ -107,7 +103,7 @@ class TestOptimizers:
         group = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
         ref = [t.data.copy() for t in group]
         state = [(0.0, 0.0, 0)] * len(group)
-        opt = ml.make_optimizer(kind, 0.01)
+        opt = ml.OPTIMIZERS[kind](0.01)
         for _ in range(3):
             grads = {t: rng.standard_normal(t.data.shape) for t in group}
             opt.update(group, grads)

@@ -209,7 +209,7 @@ def reference_layer(z, layer, config, params):
         if spec.kind == "builtin":
             y = elementwise(zc, *ad.UNARY[spec.name][:2])
         elif spec.kind == "tabulated":
-            y = elementwise(zc, lambda v: ad.interp_values(v, spec.grid, spec.values),
+            y = elementwise(zc, lambda v: np.interp(v, spec.grid, spec.values),
                             lambda v: ad.interp_slopes(
                                 v, spec.grid, np.diff(spec.values) / np.diff(spec.grid)))
         else:
