@@ -6,8 +6,8 @@ creation order, clearing them afterwards so each forward pass builds a
 fresh tape.  Hessian-vector products are exact: ``hvp_operator`` runs the
 forward and reverse pass once and then applies Pearlmutter's R-operator
 (forward-over-reverse; Pearlmutter 1994, *Neural Computation* 6(1)), for
-which every node carries a tangent rule and the second-order part of its
-backward rule.
+which every node carries a tangent rule and, unless it is linear in its
+inputs, one R-reverse rule: R of its backward rule, in one call.
 """
 
 from __future__ import annotations
@@ -83,24 +83,26 @@ class TapeNode:
     Every node's rules follow one contract.  ``vjp(g, needs, overwrite)``
     maps the output's adjoint to one adjoint per parent.
     ``jvp(tangents)`` maps one tangent per parent (None for zero) to the
-    output's tangent.  ``vjp2(g, tangents, needs)`` is the second-order
-    part of the VJP, its derivative along the parent tangents with ``g``
-    held fixed; it is None for ops linear in their inputs.  Both reverse
-    rules may give None for a parent that the ``needs`` mask leaves out,
-    and with ``overwrite`` (the tape's last use) ``vjp`` may write over
-    what the forward pass saved.
+    output's tangent.  ``rvjp(g, rg, tangents, needs)`` maps the output's
+    adjoint, its R-adjoint ``rg`` (None for zero) and the parent tangents
+    to R of each parent's adjoint: vjp(rg) plus the derivative of vjp(g)
+    along the tangents, summed in place.  It is None for ops linear in
+    their inputs, whose R-adjoints are vjp(rg).  The reverse rules may give
+    None for a parent that the ``needs`` mask leaves out, and with
+    ``overwrite`` (the tape's last use) ``vjp`` may write over what the
+    forward pass saved.
     """
 
-    __slots__ = ("op", "idx", "parents", "out", "vjp", "jvp", "vjp2", "needs")
+    __slots__ = ("op", "idx", "parents", "out", "vjp", "jvp", "rvjp", "needs")
 
-    def __init__(self, op, parents, out, vjp, jvp, vjp2, needs):
+    def __init__(self, op, parents, out, vjp, jvp, rvjp, needs):
         self.op = op
         self.idx = next(_node_counter)
         self.parents = parents
         self.out = out
         self.vjp = vjp
         self.jvp = jvp
-        self.vjp2 = vjp2
+        self.rvjp = rvjp
         self.needs = needs
 
 
@@ -131,13 +133,25 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(op: str, out_data: np.ndarray, parents: tuple, vjp, jvp, vjp2=None) -> Tensor:
+def _make(op: str, out_data: np.ndarray, parents: tuple, vjp, jvp, rvjp=None) -> Tensor:
     out = Tensor(out_data)
     if _grad_enabled():
         needs = tuple(p.requires_grad or p.node is not None for p in parents)
         if any(needs):
-            out.node = TapeNode(op, parents, out, vjp, jvp, vjp2, needs)
+            out.node = TapeNode(op, parents, out, vjp, jvp, rvjp, needs)
     return out
+
+
+def _plus(first, second) -> tuple:
+    """Per parent, ``first`` + ``second`` summed into ``first``; None is zero."""
+    return tuple(b if a is None else a if b is None else np.add(a, b, out=a)
+                 for a, b in zip(first, second))
+
+
+def _r_rule(vjp, second):
+    """The R-reverse rule vjp(rg) + ``second(g, tangents, needs)``."""
+    return lambda g, rg, ts, needs: (second(g, ts, needs) if rg is None else
+                                     _plus(vjp(rg, needs, False), second(g, ts, needs)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +219,14 @@ def matmul(a, b) -> Tensor:
             out = rb_term if out is None else out + rb_term
         return out
 
-    def vjp2(g, ts, needs):
+    def second(g, ts, needs):
         # Bilinear: the second-order part is the backward rule with the
         # tangents in place of the inputs, (g Rb', Ra' g) for matrices.
         ta, tb = ts
         return _matmul_vjp(ra, rb, g, ad if ta is None else ta, bd if tb is None else tb,
                            (needs[0] and tb is not None, needs[1] and ta is not None))
 
-    return _make("matmul", ad @ bd, (a, b), vjp, jvp, vjp2)
+    return _make("matmul", ad @ bd, (a, b), vjp, jvp, _r_rule(vjp, second))
 
 
 def add(a, b) -> Tensor:
@@ -288,10 +302,10 @@ def square(x) -> Tensor:
     def jvp(ts):
         return ts[0] * (2.0 * xd)
 
-    def vjp2(g, ts, _needs):
+    def second(g, ts, _needs):
         return (g * 2.0 * ts[0],)
 
-    return _make("square", np.square(xd), (x,), vjp, jvp, vjp2)
+    return _make("square", np.square(xd), (x,), vjp, jvp, _r_rule(vjp, second))
 
 
 def activation_values(spec, x: np.ndarray, subnet=None):
@@ -351,6 +365,11 @@ def _slope(spec, x):
     return UNARY[spec.name][1](x)
 
 
+def _curvature(spec, x):
+    """base''(x) of a builtin spec; None for a tabulated (piecewise linear) one."""
+    return None if spec.kind == "tabulated" else UNARY[spec.name][2](x)
+
+
 def _columns(a, cols):
     """``a[..., cols]``: a view for a slice, else a C-contiguous gather, so
     that a slice of every column, and any index array, flattens without a
@@ -379,16 +398,20 @@ def activation(z, groups) -> Tensor:
     a group's sub-network parents, it skips g'hid and the stacked product
     for db1 and dw1.
 
-    The tangent and second-order rules differentiate these along tangents
+    The tangent and R-reverse rules differentiate these along tangents
     (Rz, Rw1, Rb1, Rw2, Rb2), with R(a) = Rw1 z + w1 Rz + Rb1 for the
     sub-network's pre-activation, R(hid) = s R(a) and R(s) = u R(a),
-    u = -2 hid s.  The tangents, and the adjoint in the R-reverse pass, may
-    carry leading tangent axes.  No array of tangents x rows x h is formed:
-    each sum over rows is a product of stacked row vectors with s or u, and
-    each per-row term is s or u times stacked coefficient columns, as in
-    g'R(hid) = Rw1 (g z)'s + w1 (g Rz)'s + Rb1 g's.  These rules, and the
-    backward rule when ``hvp_operator`` calls it, form s and u once per
-    block of ``HVP_BLOCK_ROWS`` rows for all tangents, and keep hid intact.
+    u = -2 hid s.  The tangents, and the R-adjoint, may carry leading
+    tangent axes.  No array of tangents x rows x h is formed: each sum over
+    rows is a product of stacked row vectors with s or u, and each per-row
+    term is s or u times stacked coefficient columns, as in
+    g'R(hid) = Rw1 (g z)'s + w1 (g Rz)'s + Rb1 g's.  Each rule forms s (and
+    u) once per block of ``HVP_BLOCK_ROWS`` rows for all tangents, the
+    R-reverse rule for its first-order part (the backward rule on Rg) and
+    its second-order part alike, and keeps hid intact.  Both read ``lin``:
+    each group's gathered z, base'(z), base''(z) and dz's coefficient of g,
+    kept by the backward rule without ``overwrite``, which is the
+    linearization of ``hvp_operator``.
     """
     z = as_tensor(z)
     zd = z.data
@@ -412,78 +435,81 @@ def activation(z, groups) -> Tensor:
             parents += [subnet.w1, subnet.b1, subnet.w2, subnet.b2]
             w1, w2 = subnet.w1.data, subnet.w2.data
             saved.append((hid, w1, w2, w1 * w2))
+    lin = []  # per group, from the linearization: x, base'(x), base''(x), dz's coefficient
 
     def tangent_axes(ts):
         t, p = next((t, p) for t, p in zip(ts, parents) if t is not None)
         return t.shape[:t.ndim - p.data.ndim]
 
-    def per_group(ts=None, lead=()):
-        """(cols, x, rx, spec, saved, subnet tangents) per group; rx and
-        the subnet tangents, zeros where ``ts`` has None, only with ``ts``.
-        The subnet tangents have their tangent axes flattened into one."""
-        rz = None if ts is None else _tangents(ts[:1], [zd.shape], lead)[0]
+    def per_group(ts, lead):
+        """(cols, spec, saved, lin entry, rx, subnet tangents) per group,
+        rx and the subnet tangents zeros where ``ts`` has None.  The subnet
+        tangents have their tangent axes flattened into one."""
+        rz = _tangents(ts[:1], [zd.shape], lead)[0]
         k = 1
-        for (cols, spec, _), sub in zip(groups, saved):
+        for (cols, spec, _), sub, kept in zip(groups, saved, lin):
             rsub = None
-            if sub is not None and ts is not None:
+            if sub is not None:
                 shapes = [sub[1].shape] * 3 + [()]
                 rsub = [t.reshape((-1,) + shape)
                         for t, shape in zip(_tangents(ts[k:k + 4], shapes, lead), shapes)]
                 k += 4
-            yield (cols, _columns(zd, cols),
-                   None if rz is None else _columns(rz, cols), spec, sub, rsub)
+            yield cols, spec, sub, kept, _columns(rz, cols), rsub
 
     def vjp(g, needs, overwrite):
-        # ``backward`` is a tape's last use, so s may overwrite hid there.
-        # A parent that ``needs`` leaves out gets None, and the passes that
-        # serve only such parents are skipped.
+        # ``backward`` is a tape's last use, so s may overwrite hid there;
+        # without ``overwrite`` this is the linearization, which fills
+        # ``lin``.  A parent that ``needs`` leaves out gets None, and the
+        # passes that serve only such parents are skipped.
         lead = g.shape[:-2]
         gz = np.empty(lead + zd.shape) if needs[0] else None
+        want_dz = gz is not None or not overwrite
         grads = [gz]
-        for cols, x, _, spec, sub, _ in per_group():
-            gc = _columns(g, cols)
-            if sub is None:
-                if gz is not None:
-                    gz[..., cols] = gc * _slope(spec, x)
-                continue
-            want_sub = any(needs[len(grads):len(grads) + 4])
-            grads += [None] * 4
-            if gz is None and not want_sub:
-                continue
-            hid, _, w2, w1w2 = sub
-            gf, xf = gc.reshape(lead + (-1,)), x.ravel()
-            dzs = np.empty_like(xf)
-            gw2 = gs = gzs = 0.0
-            for rows in _row_blocks(len(hid), overwrite):
-                h, gr = hid[rows], gf[..., rows]
+        if not overwrite:
+            lin.clear()
+        for (cols, spec, _), sub in zip(groups, saved):
+            x, gc = _columns(zd, cols), _columns(g, cols)
+            slope = dz = _slope(spec, x) if want_dz else None
+            want_sub = sub is not None and any(needs[len(grads):len(grads) + 4])
+            grads += [] if sub is None else [None] * 4
+            if sub is not None and (want_dz or want_sub):
+                hid, _, w2, w1w2 = sub
+                gf, xf = gc.reshape(lead + (-1,)), x.ravel()
+                dzs = np.empty_like(xf)
+                gw2 = gs = gzs = 0.0
+                for rows in _row_blocks(len(hid), overwrite):
+                    h, gr = hid[rows], gf[..., rows]
+                    if want_sub:
+                        gw2 = gw2 + gr @ h
+                    s = _tanh_slope(h, overwrite)
+                    if want_sub:
+                        lhs = np.stack([gr, gr * xf[rows]], axis=-2)
+                        block = (lhs.reshape(-1, lhs.shape[-1]) @ s).reshape(lhs.shape[:-1] + (-1,))
+                        gs, gzs = gs + block[..., 0, :], gzs + block[..., 1, :]
+                    if want_dz:
+                        dzs[rows] = s @ w1w2
+                if want_dz:
+                    dz = slope + dzs.reshape(x.shape)
                 if want_sub:
-                    gw2 = gw2 + gr @ h
-                s = _tanh_slope(h, overwrite)
-                if want_sub:
-                    lhs = np.stack([gr, gr * xf[rows]], axis=-2)
-                    block = (lhs.reshape(-1, lhs.shape[-1]) @ s).reshape(lhs.shape[:-1] + (-1,))
-                    gs, gzs = gs + block[..., 0, :], gzs + block[..., 1, :]
-                if gz is not None:
-                    dzs[rows] = s @ w1w2
+                    grads[-4:] = [w2 * gzs, w2 * gs, gw2, np.asarray(gf.sum(axis=-1))]
             if gz is not None:
-                gz[..., cols] = gc * (_slope(spec, x) + dzs.reshape(x.shape))
-            if want_sub:
-                grads[-4:] = [w2 * gzs, w2 * gs, gw2, np.asarray(gf.sum(axis=-1))]
-            del gc, gf  # before the next group's
+                gz[..., cols] = gc * dz
+            if not overwrite:
+                lin.append((x, slope, _curvature(spec, x), dz))
         return tuple(grads)
 
     def jvp(ts):
         lead = tangent_axes(ts)
         ry = np.empty(lead + zd.shape)
-        for cols, x, rx, spec, sub, rsub in per_group(ts, lead):
+        for cols, _, sub, (x, slope, _, _), rx, rsub in per_group(ts, lead):
             if sub is None:
-                ry[..., cols] = rx * _slope(spec, x)
+                ry[..., cols] = rx * slope
                 continue
             hid, w1, w2, w1w2 = sub
             rw1, rb1, rw2, rb2 = rsub
             n = len(rw1)
             xf, rxf = x.ravel(), rx.reshape(n, -1)
-            slope = np.broadcast_to(_slope(spec, x), x.shape).ravel()
+            slope = np.broadcast_to(slope, x.shape).ravel()
             # R(y) = base'(z) Rz + hid Rw2 + Rb2 + (s R(a)) w2, the last as
             # z s (w2 Rw1) + s (w2 Rb1) + Rz s (w1 w2): rows of coefficients
             # times s'.
@@ -499,23 +525,22 @@ def activation(z, groups) -> Tensor:
             del rx, rxf, ry_group  # before the next group's
         return ry
 
-    def vjp2(g, ts, _needs):
+    def rvjp(g, rg, ts, _needs):
         lead = tangent_axes(ts)
         gz = np.empty(lead + zd.shape)
         grads = [gz]
-        for cols, x, rx, spec, sub, rsub in per_group(ts, lead):
-            if spec.kind == "tabulated":  # piecewise linear: no second-order term
-                gz[..., cols] = 0.0
-                continue
+        for cols, _, sub, (x, _, curvature, dz), rx, rsub in per_group(ts, lead):
             gc = _columns(g, cols)
-            curvature = UNARY[spec.name][2](x)
+            rgc = None if rg is None else _columns(rg, cols)
             if sub is None:
-                gz[..., cols] = gc * (curvature * rx)
+                second = 0.0 if curvature is None else gc * (curvature * rx)
+                gz[..., cols] = second if rgc is None else rgc * dz + second
                 continue
             hid, w1, w2, w1w2 = sub
             rw1, rb1, rw2, _ = rsub
             n = len(rw1)
             gf, xf = gc.ravel(), x.ravel()
+            rgf = None if rgc is None else rgc.reshape(lead + (-1,))
             rxf = rx.reshape(n, -1)
             gx = gf * xf
             curvature = np.broadcast_to(curvature, x.shape).ravel()
@@ -525,35 +550,45 @@ def activation(z, groups) -> Tensor:
             s_coef = w1 * rw2 + rw1 * w2
             u_coef = np.concatenate([rw1 * w1w2, rb1 * w1w2, (w1 * w1w2)[None]])
             rdz = np.empty((n, len(xf)))
-            by_s = by_u = 0.0
+            by_s = by_u = gw2 = gs = gzs = 0.0
             for rows in _row_blocks(len(hid), False):
                 h, gr, gxr, rxr = hid[rows], gf[rows], gx[rows], rxf[:, rows]
                 s = _tanh_slope(h, False)
                 u = h * s
                 u *= -2.0
-                # Sums over rows: (g, g z, g Rz) against s, and
-                # (g, g z, g z^2, g Rz, g z Rz) against u.
+                # Sums over rows: (g, g z, g Rz) against s, (g, g z, g z^2,
+                # g Rz, g z Rz) against u, and the backward rule's on Rg.
                 grx = gr * rxr
                 by_s = by_s + np.concatenate([gr[None], gxr[None], grx]) @ s
                 by_u = by_u + np.concatenate([gr[None], gxr[None], (gxr * xf[rows])[None],
                                               grx, gxr * rxr]) @ u
+                if rgf is not None:
+                    rgr = rgf[..., rows]
+                    gw2 = gw2 + rgr @ h
+                    lhs = np.stack([rgr, rgr * xf[rows]], axis=-2)
+                    block = (lhs.reshape(-1, lhs.shape[-1]) @ s).reshape(lhs.shape[:-1] + (-1,))
+                    gs, gzs = gs + block[..., 0, :], gzs + block[..., 1, :]
                 cu = u_coef @ u.T
                 cu[-1] += curvature[rows]
                 rdz[:, rows] = s_coef @ s.T + xf[rows] * cu[:n] + cu[n:2 * n] + rxr * cu[-1]
+            rdz *= gf
+            rdz = rdz.reshape(lead + x.shape)
+            if rgc is not None:
+                rdz += rgc * dz
+            gz[..., cols] = rdz
+            del rx, rxf, rdz  # before the next group's
             g_s, gx_s, grx_s = by_s[0], by_s[1], by_s[2:]
             g_u, gx_u, gxx_u, grx_u, gxrx_u = by_u[0], by_u[1], by_u[2], by_u[3:3 + n], by_u[3 + n:]
             g_rhid = rw1 * gx_s + w1 * grx_s + rb1 * g_s     # g'R(hid)
             g_rs = rw1 * gx_u + w1 * grx_u + rb1 * g_u       # g'R(s)
             gx_rs = rw1 * gxx_u + w1 * gxrx_u + rb1 * gx_u   # (g z)'R(s)
-            rdz *= gf
-            gz[..., cols] = rdz.reshape(lead + x.shape)
-            del rx, rxf, rdz  # before the next group's
-            grads += [d.reshape(lead + w1.shape) for d in
-                      (rw2 * gx_s + w2 * (grx_s + gx_rs), rw2 * g_s + w2 * g_rs, g_rhid)]
-            grads.append(None)
+            second = [d.reshape(lead + w1.shape) for d in
+                      (rw2 * gx_s + w2 * (grx_s + gx_rs), rw2 * g_s + w2 * g_rs, g_rhid)] + [None]
+            grads += second if rgf is None else _plus(
+                (w2 * gzs, w2 * gs, gw2, np.asarray(rgf.sum(axis=-1))), second)
         return tuple(grads)
 
-    return _make("activation", out, tuple(parents), vjp, jvp, vjp2)
+    return _make("activation", out, tuple(parents), vjp, jvp, rvjp)
 
 
 def reduce_mean(x) -> Tensor:
@@ -607,12 +642,12 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     def jvp(ts):
         return np.asarray((dlogits() * ts[0]).sum(axis=(-2, -1)) / m)
 
-    def vjp2(g, ts, _needs):
+    def second(g, ts, _needs):
         # The softmax's Jacobian, diag(p) - p p', applied row by row.
         p, t = np.exp(logp), ts[0]
         return (float(g) / m * p * (t - (p * t).sum(axis=-1, keepdims=True)),)
 
-    return _make("softmax-cross-entropy", np.asarray(loss), (lg,), vjp, jvp, vjp2)
+    return _make("softmax-cross-entropy", np.asarray(loss), (lg,), vjp, jvp, _r_rule(vjp, second))
 
 
 def mse(pred, target) -> Tensor:
@@ -635,11 +670,12 @@ def mse(pred, target) -> Tensor:
     def jvp(ts):
         return np.asarray((2.0 / diff.size) * (diff * rdiff(ts)).sum(axis=axes))
 
-    def vjp2(g, ts, _needs):
+    def second(g, ts, _needs):
         d = (2.0 * float(g) / diff.size) * rdiff(ts)
         return d, -d
 
-    return _make("mean-squared-error", np.asarray((diff * diff).mean()), (p, t), vjp, jvp, vjp2)
+    return _make("mean-squared-error", np.asarray((diff * diff).mean()), (p, t), vjp, jvp,
+                 _r_rule(vjp, second))
 
 
 # ---------------------------------------------------------------------------
@@ -746,9 +782,10 @@ def hvp_operator(lossfn, params):
     block with b = 1.  One forward and one reverse pass run here, and the
     operator keeps their tape and adjoints.  Each application is one
     tangent-forward pass (R of every node output along each column, carried
-    on a leading tangent axis) and one R-reverse pass: the adjoint of a
-    parent gains vjp(R g) + vjp2(g, tangents) per node, g the node's kept
-    adjoint.  A block of b columns costs less than b vectors do, as the
+    on a leading tangent axis) and one R-reverse pass, which makes one rule
+    call per node: the node's ``rvjp`` on its kept adjoint g, its R-adjoint
+    Rg and its parents' tangents, or vjp(Rg) for a node linear in its
+    inputs.  A block of b columns costs less than b vectors do, as the
     products over each hidden layer become matrix-matrix; see
     ``diagnostics.HVP_BLOCK_TANGENTS``.  HV is exact wherever the loss is
     twice differentiable; the parameters are never perturbed.
@@ -760,10 +797,10 @@ def hvp_operator(lossfn, params):
     nodes = [] if loss.node is None else _detach_tape(loss)
     adjoint = _adjoints(loss, nodes, overwrite=False)
     # Each tangent is dropped after its last read: by a tangent rule in the
-    # forward pass or, if any reads it, by a second-order rule in the
-    # R-reverse pass, which visits the earliest such node last.
+    # forward pass or, if any reads it, by an R-reverse rule, which the
+    # R-reverse pass visits for the earliest such node last.
     last_read = {id(p): node for node in nodes[:-1] for p in node.parents}
-    last_reread = {id(p): node for node in reversed(nodes) if node.vjp2 is not None
+    last_reread = {id(p): node for node in reversed(nodes) if node.rvjp is not None
                    for p in node.parents}
 
     def apply(v) -> np.ndarray:
@@ -789,16 +826,18 @@ def hvp_operator(lossfn, params):
         r_adjoint = {}
         for node in reversed(nodes):
             g_out = adjoint.get(id(node.out))
-            if g_out is None:
+            rg = r_adjoint.pop(id(node.out), None)  # popped so it is freed after its one use
+            if (node.rvjp is not None and g_out is not None
+                    and any(id(p) in tangent for p in node.parents)):
+                grads = node.rvjp(g_out, rg, tangents_of(node), node.needs)
+            elif rg is not None:
+                grads = node.vjp(rg, node.needs, False)
+            else:
                 continue
-            if node.vjp2 is not None and any(id(p) in tangent for p in node.parents):
-                _accumulate(r_adjoint, node, node.vjp2(g_out, tangents_of(node), node.needs))
             for p in node.parents:
                 if last_reread.get(id(p)) is node:
                     tangent.pop(id(p), None)
-            if id(node.out) in r_adjoint:  # popped so it is freed after its one use
-                _accumulate(r_adjoint, node,
-                            node.vjp(r_adjoint.pop(id(node.out)), node.needs, False))
+            _accumulate(r_adjoint, node, grads)
         hv = np.zeros(block.shape)
         for p, part in zip(params, np.split(hv, np.cumsum(sizes)[:-1])):
             if id(p) in r_adjoint:

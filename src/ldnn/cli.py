@@ -272,8 +272,9 @@ def net_diagnostics(params, config, eval_set, hessian_set, settings: dict,
     activity on ``eval_set``, then, when ``settings["hessian"]``, the
     ``hessian_diagnostics`` pass on ``hessian_set`` with the settings'
     probes, ``lanczos_k`` and examples."""
-    yield "metric", ml.evaluate(params, config, eval_set)
-    summary = dg.participation_ratio(nn.hidden_activity_matrix(params, config, eval_set.inputs))
+    out, activity = nn.forward_activity(params, config, eval_set.inputs)
+    yield "metric", ml.score(config, out, eval_set.targets)
+    summary = dg.participation_ratio(activity)
     yield "ratio", summary.ratio
     yield "normalized_ratio", summary.normalized
     if settings["hessian"]:
@@ -296,7 +297,7 @@ def run_single(exp: ExperimentConfig, train_set, val_set, variant: str,
     config = network_config(exp, exp.variants[variant], width, train_set)
     schedule = TrainSchedule(**exp.schedule, seed=run_seed)
     try:
-        params, _ = ml.train(config, schedule, train_set, val_set)
+        params, _ = ml.train(config, schedule, train_set)  # its history is not kept
         for name, value in net_diagnostics(params, config, val_set, train_set, exp.diagnostics,
                                            run_seed ^ 0x5EED, run_seed ^ 0xF00D):
             setattr(record, name, value)
@@ -396,9 +397,8 @@ def cmd_train(args) -> int:
     for t in sorted(history.snapshots):
         ml.write_activation_trace_csv(
             history, t, os.path.join(args.out, f"activation_type{t}.csv"))
-    metric = ml.evaluate(params, config, val_set)
     label = "accuracy" if exp.net_task == "classification" else "loss"
-    print(f"run seed {run_seed}: validation {label} {metric:.4f}")
+    print(f"run seed {run_seed}: validation {label} {history.val[-1][1]:.4f}")
     return 0
 
 

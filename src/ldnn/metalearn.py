@@ -164,24 +164,32 @@ def _snapshot(history: TrainHistory, params, config, type_indices, step: int) ->
         history.snapshots.setdefault(t, []).append((step, np.asarray(values)))
 
 
+def score(config, out: Tensor, targets) -> float:
+    """Accuracy of the net outputs ``out`` against ``targets`` for
+    classification, mean squared error for regression."""
+    if config.task == "classification":
+        preds = np.argmax(out.data, axis=1)
+        return float(np.mean(preds == np.asarray(targets)))
+    return float(ad.mse(out, Tensor(targets)).data)
+
+
 def evaluate(params, config, dataset) -> float:
     """Validation accuracy for classification, mean squared error for regression."""
     with ad.no_grad():
         out, _, _ = nn.forward(params, config, dataset.inputs)
-        if config.task == "classification":
-            preds = np.argmax(out.data, axis=1)
-            return float(np.mean(preds == np.asarray(dataset.targets)))
-        return float(ad.mse(out, Tensor(dataset.targets)).data)
+    return score(config, out, dataset.targets)
 
 
-def train(config, schedule: TrainSchedule, train_set, val_set):
+def train(config, schedule: TrainSchedule, train_set, val_set=None):
     """Run the alternating loop: shuffle each epoch, take ``outer_period``
     inner steps, then ``outer_steps`` outer steps on the current batch.
+    ``history.val`` holds the metric on ``val_set`` after each epoch; with
+    no ``val_set`` it stays empty, and no validation pass runs.
 
     Returns (params, history).  Deterministic given the schedule seed.
     """
     m = train_set.inputs.shape[0]
-    if m == 0 or val_set.inputs.shape[0] == 0:
+    if m == 0 or (val_set is not None and val_set.inputs.shape[0] == 0):
         raise ValueError("datasets must be nonempty")
     s_init, s_shuffle = np.random.SeedSequence(schedule.seed).spawn(2)
     params = nn.init_network(config, seed=s_init)
@@ -214,7 +222,8 @@ def train(config, schedule: TrainSchedule, train_set, val_set):
                     history.records.append((step, epoch, "outer", loss))
             if step % every == 0:
                 _snapshot(history, params, config, type_indices, step)
-        history.val.append((epoch, evaluate(params, config, val_set)))
+        if val_set is not None:
+            history.val.append((epoch, evaluate(params, config, val_set)))
     if type_indices and history.snapshots[type_indices[0]][-1][0] != step:
         _snapshot(history, params, config, type_indices, step)
     return params, history

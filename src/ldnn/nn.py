@@ -21,6 +21,14 @@ from .autodiff import ShapeError, Tensor
 TASKS = ("classification", "regression")
 
 
+def _check_ints(values: dict) -> None:
+    """Reject a value of ``values`` (by name) that is not an integer; a
+    boolean is not one."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ActivationSpec:
     """Description of one neuron nonlinearity.
@@ -85,9 +93,11 @@ class LayerSpec:
     plan: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "assignment", tuple(self.assignment))
+        _check_ints({"width": self.width,
+                     **{f"assignment[{i}]": t for i, t in enumerate(self.assignment)}})
         if self.width < 1:
             raise ValueError("layer width must be positive")
-        object.__setattr__(self, "assignment", tuple(int(i) for i in self.assignment))
         if len(self.assignment) != self.width:
             raise ValueError(f"assignment length {len(self.assignment)} != width {self.width}")
         assignment = np.asarray(self.assignment)
@@ -120,6 +130,7 @@ class NetworkConfig:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "activations", tuple(self.activations))
+        _check_ints({"input_dim": self.input_dim, "output_dim": self.output_dim, "seed": self.seed})
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("input_dim and output_dim must be positive")
         if self.task not in TASKS:
@@ -273,14 +284,20 @@ def extract_tabulated(spec: ActivationSpec, subnet_params: SubnetParams = None,
 
 def hidden_activity_matrix(params: ParamSet, config: NetworkConfig, inputs) -> np.ndarray:
     """Post-activation activity of each hidden neuron on each input, shape (N, M)."""
+    return forward_activity(params, config, inputs)[1]
+
+
+def forward_activity(params: ParamSet, config: NetworkConfig, inputs):
+    """One forward pass without the tape: the outputs, and the activity
+    matrix of the last hidden layer (``hidden_activity_matrix``)."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.shape[0] == 0:
         raise ValueError("empty input set")
     if not config.layers:
         raise ValueError("network has no hidden layer")
     with ad.no_grad():
-        _, _, act = forward(params, config, inputs)
-    return act.data.T.copy()
+        out, _, act = forward(params, config, inputs)
+    return out, act.data.T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +356,7 @@ def spec_from_dict(obj: dict) -> ActivationSpec:
     if kind == "builtin":
         return ActivationSpec.builtin(obj["name"])
     if kind == "subnet":
-        return ActivationSpec.subnet(obj["base"], obj.get("hidden_width", 50))
+        return ActivationSpec.subnet(obj["base"], obj["hidden_width"])
     if kind == "tabulated":
         return ActivationSpec.tabulated(obj["grid"], obj["values"])
     raise ValueError(f"unknown activation kind {kind!r}")
@@ -358,12 +375,12 @@ def config_to_dict(config: NetworkConfig) -> dict:
 
 def config_from_dict(obj: dict) -> NetworkConfig:
     return NetworkConfig(
-        input_dim=int(obj["input_dim"]),
-        layers=tuple(LayerSpec(int(l["width"]), tuple(l["assignment"])) for l in obj["layers"]),
-        output_dim=int(obj["output_dim"]),
+        input_dim=obj["input_dim"],
+        layers=tuple(LayerSpec(l["width"], l["assignment"]) for l in obj["layers"]),
+        output_dim=obj["output_dim"],
         activations=tuple(spec_from_dict(s) for s in obj["activations"]),
         task=obj.get("task", "classification"),
-        seed=int(obj.get("seed", 0)),
+        seed=obj.get("seed", 0),
     )
 
 
@@ -391,10 +408,20 @@ def save_params(params: ParamSet, config: NetworkConfig, path) -> None:
         fh.write("\n")
 
 
+def _shapes(params: ParamSet) -> dict:
+    """The shape of every array of ``params``, by its name in a snapshot."""
+    named = [(f"weights[{i}]", w) for i, w in enumerate(params.weights)]
+    named += [(f"biases[{i}]", b) for i, b in enumerate(params.biases)]
+    named += [(f"subnets[{t}].{k}", getattr(sp, k))
+              for t, sp in params.subnets.items() for k in ("w1", "b1", "w2", "b2")]
+    return {name: t.data.shape for name, t in named}
+
+
 def load_params(path):
     """Read a snapshot back; returns (ParamSet, NetworkConfig).  A malformed
-    snapshot, or one without the sub-network of a subnet type its layers
-    use, raises ValueError naming ``path``."""
+    snapshot, one without the sub-network of a subnet type its layers use,
+    or one whose arrays are not the shapes ``init_network`` makes for its
+    config, raises ValueError naming ``path``."""
     obj = _read_json_object(path, "format", "ldnn-params-v1", "a parameter snapshot")
     try:
         config = config_from_dict(obj["config"])
@@ -417,4 +444,9 @@ def load_params(path):
     missing = sorted(set(subnet_types(config)) - set(params.subnets))
     if missing:
         raise ValueError(f"{path}: no sub-network for subnet types {missing}")
+    got, want = _shapes(params), _shapes(init_network(config))
+    for name in {**want, **got}:
+        if got.get(name) != want.get(name):
+            raise ValueError(f"{path}: {name} has shape {got.get(name)}, "
+                             f"but the config makes {want.get(name)}")
     return params, config

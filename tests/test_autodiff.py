@@ -470,6 +470,88 @@ class TestTangentBlocks:
         self.assert_columns_match(ad.hvp_operator(lossfn, tensors), V)
 
 
+class TestRReverseRule:
+    """One R-reverse rule per tape node.  The fused activation forms
+    s = 1 - hid**2 once per row block and subnet group in each of its
+    tangent and R-reverse rules, and reads its linearization constants,
+    which its backward rule kept, from one linearization per operator."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        fn = getattr(ad, name)
+        monkeypatch.setattr(ad, name, lambda *a: calls.append(1) or fn(*a))
+        return calls
+
+    def assert_s_per_application(self, monkeypatch, lossfn, params, blocks):
+        """The linearization forms s once per block, each application twice;
+        base'(z) and base''(z) come once per group and operator."""
+        s_calls = self.count_calls(monkeypatch, "_tanh_slope")
+        constants = [self.count_calls(monkeypatch, name) for name in ("_slope", "_curvature")]
+        hvp = ad.hvp_operator(lossfn, params)
+        assert len(s_calls) == blocks
+        built = [len(c) for c in constants]
+        V = np.random.default_rng(48).standard_normal((ad.flatten_params(params).size, 3))
+        for applied in (1, 2):
+            hvp(V)
+            assert len(s_calls) == blocks + 2 * blocks * applied
+        assert [len(c) for c in constants] == built
+
+    def test_s_twice_per_block_and_group_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(ad, "HVP_BLOCK_ROWS", 7)
+        lossfn, params = TestHessianVectorProduct.small_net(TestHessianVectorProduct.MIX)
+        # Each subnet group has 3 of the 8 columns of the 40-row batch:
+        # 120 rows, 18 blocks of 7, per group.
+        self.assert_s_per_application(monkeypatch, lossfn, params, blocks=2 * 18)
+
+    def test_hessian_workload_net_forms_s_80_times(self, monkeypatch):
+        """The benchmark's Hessian net: 1000 examples, width 20 and two
+        sine/50 types, so 20 blocks of 512 rows per group."""
+        rng = np.random.default_rng(50)
+        config = nn.mlp_config(40, 20, 10, (ActivationSpec.subnet("sine", 50),) * 2)
+        params = nn.init_network(config, seed=50)
+        x, y = rng.uniform(-1, 1, size=(1000, 40)), rng.integers(0, 10, size=1000)
+        self.assert_s_per_application(
+            monkeypatch, lambda: ad.softmax_cross_entropy(nn.forward(params, config, x)[0], y),
+            params.all_tensors(), blocks=2 * 20)
+
+    def test_blocks_of_other_widths_change_nothing(self):
+        lossfn, params = TestHessianVectorProduct.small_net(TestHessianVectorProduct.MIX)
+        hvp = ad.hvp_operator(lossfn, params)
+        rng = np.random.default_rng(51)
+        n = ad.flatten_params(params).size
+        V = rng.standard_normal((n, 3))
+        first = hvp(V)
+        for b in (1, 3, 4):
+            hvp(rng.standard_normal((n, b)))
+        assert np.array_equal(hvp(V), first)
+
+    def test_operator_after_a_parameter_step(self):
+        """A new operator linearizes at the new parameters; the old one keeps
+        its own linearization."""
+        rng = np.random.default_rng(52)
+        config = nn.mlp_config(2, 2, 2, (ActivationSpec.subnet("sine", 3),
+                                          ActivationSpec.subnet("tanh", 2)))
+        params = nn.init_network(config, seed=52)
+        for sp in params.subnets.values():
+            sp.w2.assign(rng.uniform(-0.5, 0.5, size=sp.hidden_width))
+        x, y = rng.uniform(-1, 1, size=(12, 2)), rng.integers(0, 2, size=12)
+        tensors = params.all_tensors()
+
+        def lossfn():
+            return ad.softmax_cross_entropy(nn.forward(params, config, x)[0], y)
+
+        v = rng.standard_normal(ad.flatten_params(tensors).size)
+        before = ad.hvp_operator(lossfn, tensors)
+        hv_before = before(v)
+        assign_flat(tensors, ad.flatten_params(tensors) + 0.3 * rng.standard_normal(v.size))
+        hv = ad.hvp_operator(lossfn, tensors)(v)
+        expected = dense_fd_hessian(lossfn, tensors) @ v
+        assert np.abs(hv - expected).max() < 1e-6
+        assert np.abs(hv_before - expected).max() > 1e-2
+        assert np.array_equal(before(v), hv_before)
+
+
 class TestHessianVectorProduct:
     @staticmethod
     def quadratic_loss(params, a_mat):

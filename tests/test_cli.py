@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -160,6 +162,17 @@ class TestCampaign:
         assert cli.main(["campaign", config, "--jobs", "2", "--out", str(pooled)]) == 0
         assert slurp_tree(serial) == slurp_tree(pooled)
 
+    def test_runs_skip_the_validation_they_discard(self, tmp_path, monkeypatch):
+        """A campaign run keeps no training history, so it runs no
+        per-epoch validation pass; its metric comes from ``net_diagnostics``."""
+        config = write_config(tmp_path)
+        reference = tmp_path / "ref"
+        assert cli.main(["campaign", config, "--jobs", "1", "--out", str(reference)]) == 0
+        monkeypatch.setattr(ml, "evaluate", lambda *a: pytest.fail("validation pass ran"))
+        out = tmp_path / "camp"
+        assert cli.main(["campaign", config, "--jobs", "1", "--out", str(out)]) == 0
+        assert slurp_tree(out) == slurp_tree(reference)
+
     def test_hessian_pool_matches_serial(self, tmp_path):
         # Above BLAS's threading thresholds: the serial runs use the caller's
         # thread count, the pooled ones one thread each.
@@ -176,6 +189,37 @@ class TestCampaign:
         assert cli.main(["campaign", config, "--jobs", "1", "--out", str(serial)]) == 0
         assert cli.main(["campaign", config, "--jobs", "2", "--out", str(pooled)]) == 0
         assert slurp_tree(serial) == slurp_tree(pooled)
+
+
+def test_diagnose_hessian_same_bytes_at_any_thread_count(tmp_path):
+    """The README's claim, in a few seconds: ``diagnose --hessian`` on 1000
+    examples, where the linearization's products are above OpenBLAS's
+    threading threshold, prints the same bytes at one BLAS thread and with
+    the thread variables unset."""
+    data = tmp_path / "d"
+    assert cli.main(["gen-data", "mnist1d-synth", "--m", "1000", "--out", str(data)]) == 0
+    config = write_config(
+        tmp_path, n_seeds=1, hidden_width=20,
+        activation_types=[{"kind": "subnet", "base": "sine", "hidden_width": 50}] * 2,
+        variants={"mix": [0, 1]},
+        data={"train_path": str(data / "train.dsv"), "val_path": str(data / "val.dsv")},
+        schedule={"inner_lr": 0.01, "outer_lr": 0.001, "outer_period": 5,
+                  "batch_size": 100, "epochs": 1, "optimizer": "adam"})
+    assert cli.main(["train", config, "--out", str(tmp_path / "net")]) == 0
+    threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in threads}
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(cli.__file__)),
+                                         env.get("PYTHONPATH", "")])
+    command = [sys.executable, "-m", "ldnn.cli", "diagnose", str(tmp_path / "net" / "params.json"),
+               "--data", str(data / "train.dsv"), "--hessian", "--probes", "8", "--k", "8",
+               "--hessian-examples", "1000"]
+    stdouts = []
+    for pinned in (dict.fromkeys(threads, "1"), {}):
+        run = subprocess.run(command, env={**env, **pinned}, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        stdouts.append(run.stdout)
+    assert '"hessian_params"' in stdouts[0]
+    assert stdouts[0] == stdouts[1]
 
 
 def roster(entry):
@@ -520,7 +564,25 @@ class TestMalformedFiles:
             {"kind": "subnet", "base": "sine", "hidden_width": 3.7},
             {"kind": "builtin", "name": "relu"}]}},
          "subnet hidden_width must be an integer >= 1, got 3.7"),
-    ], ids=["format-only", "no-biases", "no-subnets", "float-subnet-width"])
+        (["diagnose"], lambda obj: {**obj, "subnets": {"0": {
+            **obj["subnets"]["0"], "w1": [0.5] * 4, "b1": [0.5] * 4, "w2": [0.5] * 4}}},
+         "subnets[0].w1 has shape (4,), but the config makes (3,)"),
+        (["diagnose"], lambda obj: {**obj, "config": {**obj["config"], "input_dim": 40.9}},
+         "input_dim must be an integer, got 40.9"),
+        (["diagnose"], lambda obj: {**obj, "config": {**obj["config"], "seed": True}},
+         "seed must be an integer, got True"),
+        (["diagnose"], lambda obj: {**obj, "config": {**obj["config"], "layers": [
+            {"width": 4, "assignment": [0.0, 1, 0, 1]}]}},
+         "assignment[0] must be an integer, got 0.0"),
+        (["diagnose"], lambda obj: {**obj, "weights": [
+            {"shape": [2, 2], "data": [0.5] * 4}] + obj["weights"][1:]},
+         "weights[0] has shape (2, 2), but the config makes (40, 4)"),
+        (["diagnose"], lambda obj: {**obj, "config": {**obj["config"], "activations": [
+            {"kind": "subnet", "base": "sine"}, {"kind": "builtin", "name": "relu"}]}},
+         "malformed parameter snapshot (KeyError('hidden_width'))"),
+    ], ids=["format-only", "no-biases", "no-subnets", "float-subnet-width", "wide-subnet-arrays",
+            "float-input-dim", "boolean-seed", "float-assignment", "small-first-weight",
+            "no-subnet-width"])
     def test_bad_snapshot(self, tmp_path, capsys, command, edit, message):
         data = tmp_path / "d"
         assert cli.main(["gen-data", "mnist1d-synth", "--m", "10", "--out", str(data)]) == 0
@@ -670,7 +732,7 @@ class TestExportAndReuse:
                          "--out", str(data_dir)]) == 0
         called = []
         monkeypatch.setattr(cli.ad, "hvp_operator", lambda *a: called.append("hvp"))
-        monkeypatch.setattr(cli.ml, "evaluate", lambda *a: called.append("evaluate"))
+        monkeypatch.setattr(cli.nn, "forward_activity", lambda *a: called.append("evaluate"))
         capsys.readouterr()
         assert cli.main(["diagnose", str(params_path), "--data", str(data_dir / "val.dsv"),
                          "--hessian", flag, value]) == 2

@@ -244,6 +244,23 @@ class TestTrain:
                 assert s1 == s2
                 np.testing.assert_array_equal(v1, v2)
 
+    def test_no_val_set_skips_validation_only(self, monkeypatch):
+        """Without a validation set no validation pass runs, and the
+        weights, losses and snapshots are bitwise those of a run with one."""
+        config = subnet_cfg()
+        schedule = ml.TrainSchedule(batch_size=10, epochs=3, outer_period=2, seed=43)
+        train_set, val_set = self.small_sets()
+        p1, h1 = ml.train(config, schedule, train_set, val_set)
+        monkeypatch.setattr(ml, "evaluate", lambda *a: pytest.fail("validation pass ran"))
+        p2, h2 = ml.train(config, schedule, train_set)
+        assert len(h1.val) == 3 and h2.val == []
+        assert h1.records == h2.records
+        for a, b in zip(p1.all_tensors(), p2.all_tensors()):
+            assert a.data.tobytes() == b.data.tobytes()
+        for t in h1.snapshots:
+            assert [(s, v.tobytes()) for s, v in h1.snapshots[t]] == \
+                [(s, v.tobytes()) for s, v in h2.snapshots[t]]
+
     def test_frozen_subnet_equals_builtin_base(self):
         """A subnet net whose outer loop never fires is the homogeneous base
         network."""

@@ -385,6 +385,28 @@ class TestSerialization:
         for a, b in zip(params.all_tensors(), loaded.all_tensors()):
             np.testing.assert_array_equal(a.data, b.data)
 
+    def test_mixed_two_layer_snapshot_roundtrip_bitwise(self, tmp_path):
+        """Subnets of two widths, a builtin and a tabulated type over two
+        layers: the snapshot passes the loader's shape checks and loads
+        bitwise."""
+        acts = (ActivationSpec.subnet("sine", 5), ActivationSpec.subnet("tanh", 3),
+                ActivationSpec.builtin("relu"),
+                ActivationSpec.tabulated([-1.0, 0.0, 1.0], [0.0, 0.5, 0.25]))
+        layers = (LayerSpec(7, (2, 0, 0, 1, 3, 1, 2)), LayerSpec(5, (0, 3, 3, 1, 2)))
+        config = NetworkConfig(input_dim=3, layers=layers, output_dim=2, activations=acts,
+                               task="regression", seed=4)
+        params = nn.init_network(config)
+        rng = np.random.default_rng(23)
+        for t in params.all_tensors():
+            t.assign(rng.standard_normal(t.data.shape))
+        path = tmp_path / "params.json"
+        nn.save_params(params, config, path)
+        loaded, config2 = nn.load_params(path)
+        assert config2 == config
+        assert sorted(loaded.subnets) == sorted(params.subnets)
+        for a, b in zip(params.all_tensors(), loaded.all_tensors()):
+            assert (a.data.shape, a.data.tobytes()) == (b.data.shape, b.data.tobytes())
+
     def test_config_dict_roundtrip(self):
         config = nn.mlp_config(
             4, 6, 2,
