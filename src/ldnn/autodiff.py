@@ -390,7 +390,8 @@ def activation(z, groups) -> Tensor:
     type, whose ``cols`` (an index array or slice) partition the columns of
     ``z``; ``spec`` and ``subnet`` are as in ``activation_values``.  A
     subnet group's hidden layer hid = tanh([z, 1] @ [w1; b1]) comes from one
-    (rows x 2) by (2 x h) product.  The backward rule is written out: with
+    (rows x 2) by (2 x h) product; under ``no_grad`` it is dropped before
+    the next group's is built.  The backward rule is written out: with
     s = 1 - hid**2 per subnet group,
     dz = g (base'(z) + s (w1 w2)), dw2 = g'hid, db1 = w2 (g's),
     dw1 = w2 ((g z)'s) and db2 = sum(g).  It takes the node's ``needs``
@@ -426,15 +427,17 @@ def activation(z, groups) -> Tensor:
     out = np.empty_like(zd)
     parents = [z]
     saved = []  # per subnet group: hid, w1, w2 and w1 * w2 as of this forward pass
+    recording = _grad_enabled()
     for cols, spec, subnet in groups:
         y, hid = activation_values(spec, zd[:, cols], subnet)
         out[:, cols] = y
-        if hid is None:
+        if hid is None or not recording:
             saved.append(None)
         else:
             parents += [subnet.w1, subnet.b1, subnet.w2, subnet.b2]
             w1, w2 = subnet.w1.data, subnet.w2.data
             saved.append((hid, w1, w2, w1 * w2))
+        del y, hid  # so a tape-free pass holds one group's hidden layer at a time
     lin = []  # per group, from the linearization: x, base'(x), base''(x), dz's coefficient
 
     def tangent_axes(ts):

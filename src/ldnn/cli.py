@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -63,7 +64,7 @@ def _typed(defaults) -> dict:
 
 
 # The keys each config section accepts, with the JSON type of each value:
-# ``int`` is an integer and ``float`` any number, neither a boolean;
+# ``int`` is an integer and ``float`` any finite number, neither a boolean;
 # ``[kind]`` is a list of ``kind``, and ``(kind, least)`` a ``kind`` of at
 # least ``least``.  Other ranges are checked where the value is used.
 # ``data`` holds either the two dataset paths or the generator settings of
@@ -99,7 +100,9 @@ def _fits(value, kind) -> bool:
         return _fits(value, kind[0]) and value >= kind[1]
     if isinstance(value, bool) or kind is bool:
         return type(value) is kind
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:  # JSON has no NaN or infinity, though Python's json reads them
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    return isinstance(value, kind)
 
 
 def _describe(kind, plural: bool = False) -> str:

@@ -4,6 +4,8 @@ against the same loss."""
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +41,11 @@ class TrainSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.inner_lr <= 0 or self.outer_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        nn._check_ints({"outer_period": self.outer_period, "outer_steps": self.outer_steps,
+                        "batch_size": self.batch_size, "epochs": self.epochs})
+        if not (0 < self.inner_lr < math.inf and 0 < self.outer_lr < math.inf):
+            raise ValueError("learning rates must be finite and positive, got "
+                             f"inner_lr={self.inner_lr!r}, outer_lr={self.outer_lr!r}")
         if self.outer_period < 1 or self.outer_steps < 1:
             raise ValueError("outer_period and outer_steps must be >= 1")
         if self.batch_size < 1 or self.epochs < 1:
@@ -180,6 +185,24 @@ def evaluate(params, config, dataset) -> float:
     return score(config, out, dataset.targets)
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Let the C heap keep what it frees, up to 256 MiB, and serve blocks up
+    to 32 MiB (glibc's largest mmap threshold) itself, so that a training
+    step reuses the previous step's memory instead of returning it to the
+    kernel and faulting it back in.  Setting either threshold switches off
+    glibc's dynamic ones, so both are set.  Once per process; nothing where
+    libc has no ``mallopt``."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+
+
 def train(config, schedule: TrainSchedule, train_set, val_set=None):
     """Run the alternating loop: shuffle each epoch, take ``outer_period``
     inner steps, then ``outer_steps`` outer steps on the current batch.
@@ -191,6 +214,7 @@ def train(config, schedule: TrainSchedule, train_set, val_set=None):
     m = train_set.inputs.shape[0]
     if m == 0 or (val_set is not None and val_set.inputs.shape[0] == 0):
         raise ValueError("datasets must be nonempty")
+    _keep_freed_memory()
     s_init, s_shuffle = np.random.SeedSequence(schedule.seed).spawn(2)
     params = nn.init_network(config, seed=s_init)
     rng = np.random.default_rng(s_shuffle)

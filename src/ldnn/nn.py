@@ -77,6 +77,10 @@ class ActivationSpec:
         values = tuple(float(v) for v in values)
         if len(grid) < 2 or len(grid) != len(values):
             raise ValueError("tabulated spec needs matching grid/values of length >= 2")
+        for name, seq in (("grid", grid), ("values", values)):
+            bad = next((i for i, v in enumerate(seq) if not math.isfinite(v)), None)
+            if bad is not None:
+                raise ValueError(f"tabulated {name}[{bad}] must be finite, got {seq[bad]!r}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("tabulated grid must be strictly ascending")
         return ActivationSpec(kind="tabulated", grid=grid, values=values)

@@ -279,6 +279,12 @@ class TestDiagnosticsConfig:
          "activation_types[2].grid must be a list of numbers"),
         ({"task": "vdp", "data": {"mu": "2", "n_transient": 10, "n_samples": 50}},
          "data.mu must be a number"),
+        ({"schedule": {"inner_lr": float("nan")}}, "schedule.inner_lr must be a number, got nan"),
+        ({"schedule": {"outer_lr": float("inf")}}, "schedule.outer_lr must be a number, got inf"),
+        ({"task": "vdp", "data": {"mu": float("-inf"), "n_transient": 10, "n_samples": 50}},
+         "data.mu must be a number, got -inf"),
+        (roster({"kind": "tabulated", "grid": [0, float("nan"), 1], "values": [0, 1, 2]}),
+         "activation_types[2].grid must be a list of numbers"),
     ], ids=["unknown-top-level-key", "unknown-data-key", "unknown-data-path-key",
             "unknown-generator-key", "unknown-key", "probes", "lanczos-k", "examples",
             "non-integer", "hist-bins", "hidden-width-beside-sizes",
@@ -289,7 +295,7 @@ class TestDiagnosticsConfig:
             "float-width", "string-seeds", "boolean-bins", "non-integer-sizes",
             "float-m-train", "float-canvas", "numeric-path", "boolean-epochs",
             "float-outer-period", "schedule-seed", "float-subnet-width", "string-grid",
-            "string-mu"])
+            "string-mu", "nan-inner-lr", "infinite-outer-lr", "infinite-mu", "nan-grid"])
     def test_rejected_before_training(self, tmp_path, capsys, monkeypatch, overrides, message):
         trained = []
         monkeypatch.setattr(ml, "train", lambda *a, **k: trained.append(1))
@@ -606,6 +612,21 @@ class TestMalformedFiles:
                               variants={"frozen": [0]})
         assert cli.main(["train", config, "--out", str(tmp_path / "out")]) == 2
         assert f"{act}: not a tabulated activation file" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"grid": [0, float("nan"), 1], "values": [0, 1, 2]}, "grid[1] must be finite, got nan"),
+        ({"grid": [0, 1], "values": [0, float("inf")]}, "values[1] must be finite, got inf"),
+    ], ids=["nan-grid", "infinite-value"])
+    def test_activation_file_with_non_finite_entries(self, tmp_path, capsys, entry, message):
+        act = tmp_path / "act0.json"
+        act.write_text(json.dumps({"kind": "tabulated", **entry}))
+        config = write_config(tmp_path, activation_types=[{"kind": "tabulated",
+                                                           "path": "act0.json"}],
+                              variants={"frozen": [0]})
+        assert cli.main(["train", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{act}: bad tabulated activation" in err and message in err
 
 
 class TestExportAndReuse:

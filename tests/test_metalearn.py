@@ -1,6 +1,11 @@
 """Inner/outer alternating optimization: losses, partition discipline, history."""
 
 import math
+import os
+import re
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +205,20 @@ class TestSteps:
         with pytest.raises(ValueError):
             ml.TrainSchedule(optimizer="adagrad")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("batch_size", True, "batch_size must be an integer, got True"),
+        ("outer_period", 2.0, "outer_period must be an integer, got 2.0"),
+        ("outer_steps", 1.0, "outer_steps must be an integer, got 1.0"),
+        ("outer_lr", math.inf, "outer_lr=inf"),
+        ("inner_lr", math.nan, "inner_lr=nan"),
+    ], ids=["float-epochs", "boolean-batch-size", "float-outer-period", "float-outer-steps",
+            "infinite-outer-lr", "nan-inner-lr"])
+    def test_schedule_field_types(self, field, value, message):
+        """Counts are integers, booleans excluded, and rates are finite."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ml.TrainSchedule(**{field: value})
+
 
 def tape_nodes(loss):
     """Nodes on the tape behind ``loss``."""
@@ -335,7 +354,57 @@ class TestTrain:
         assert len(lines) == 1 + n_snaps * history.snapshot_grid.size
 
 
+# Trains the benchmark's mix net (width 20, two sine/50 sub-networks,
+# batches of 100 of 4000 digits) for 2 epochs without a validation set, and
+# prints the minor page faults per inner or outer step.
+FAULTS_PER_STEP = """
+import resource
+import numpy as np
+from ldnn import metalearn as ml, nn, tasks
+train_set = tasks.generate_synthetic_1d(np.random.SeedSequence(5), 4000, split="train")
+mix = (nn.ActivationSpec.subnet("sine", 50), nn.ActivationSpec.subnet("sine", 50))
+config = nn.mlp_config(train_set.n_features, 20, 10, mix)
+schedule = ml.TrainSchedule(batch_size=100, epochs=2, seed=3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+_, history = ml.train(config, schedule, train_set)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(history.records))
+"""
+
+
+def test_training_steps_reuse_their_memory():
+    """A training step reuses the memory the step before it freed: without
+    validation passes, glibc's dynamic trim threshold would give each step's
+    hidden layers back to the kernel (about 165 faults per step).  A fresh
+    process, as the allocator settings are process state."""
+    import ctypes
+
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("libc has no mallopt")
+    src = os.path.dirname(os.path.dirname(ml.__file__))
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert float(out) < 5
+
+
 class TestEvaluate:
+    def test_one_hidden_layer_at_a_time(self):
+        """A tape-free pass drops each sub-network group's hidden layer
+        before the next group's is built."""
+        mix = (ActivationSpec.subnet("sine", 50), ActivationSpec.subnet("sine", 50))
+        config = nn.mlp_config(4, 20, 3, mix)
+        params = nn.init_network(config, seed=8)
+        data = toy_classification(m=1000, d=4, k=3, seed=9)
+        one_layer = 1000 * 10 * 50 * 8  # rows x a group's 10 columns x h, in bytes
+        tracemalloc.start()
+        try:
+            ml.evaluate(params, config, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * one_layer
+
     def test_perfect_classifier(self):
         config = nn.mlp_config(2, 2, 2, (ActivationSpec.builtin("identity"),))
         params = nn.init_network(config)

@@ -1,5 +1,7 @@
 """Network construction, per-type activations, and tabulated extraction."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,15 @@ class TestSpecs:
             ActivationSpec.tabulated([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="length"):
             ActivationSpec.tabulated([0.0], [1.0])
+
+    @pytest.mark.parametrize("grid, values, message", [
+        ((0.0, float("nan"), 1.0), (0.0, 1.0, 2.0), "grid[1] must be finite, got nan"),
+        ((0.0, 1.0, 2.0), (0.0, float("inf"), 2.0), "values[1] must be finite, got inf"),
+        ((float("-inf"), 1.0), (0.0, 1.0), "grid[0] must be finite, got -inf"),
+    ], ids=["nan-grid", "infinite-value", "infinite-grid"])
+    def test_tabulated_rejects_non_finite(self, grid, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ActivationSpec.tabulated(grid, values)
 
     def test_layer_assignment_length(self):
         with pytest.raises(ValueError, match="assignment length"):
@@ -223,6 +234,25 @@ def reference_layer(z, layer, config, params):
         part = ad.matmul(y, Tensor(sel.T))
         acc = part if acc is None else ad.add(acc, part)
     return acc
+
+
+def test_tape_free_forward_bitwise_taped():
+    """Dropping each hidden layer in a tape-free pass changes no bit: two
+    hidden layers over sub-networks of widths 7 and 33 and a builtin."""
+    acts = (ActivationSpec.subnet("sine", 7), ActivationSpec.subnet("tanh", 33),
+            ActivationSpec.builtin("relu"))
+    config = NetworkConfig(5, (LayerSpec(9, (0, 1, 2) * 3), LayerSpec(6, (2, 1, 0, 0, 1, 2))),
+                           3, acts)
+    params = nn.init_network(config, seed=4)
+    for sp in params.subnets.values():  # non-zero residuals
+        sp.w2.assign(np.random.default_rng(5).uniform(-1, 1, sp.w2.data.shape))
+    x = np.random.default_rng(6).standard_normal((700, 5))
+    taped = nn.forward(params, config, x)
+    with ad.no_grad():
+        free = nn.forward(params, config, x)
+    for a, b in zip(taped, free):
+        assert a.data.tobytes() == b.data.tobytes()
+    assert taped[0].node is not None and free[0].node is None
 
 
 class TestFusedLayer:
